@@ -15,8 +15,9 @@ are provided with the same search semantics:
 An integration test asserts the two agree on match decisions and delays.
 
 The fast array additionally serves **query batches**:
-:meth:`FastTDAMArray.search_batch` broadcasts the mismatch decision over
-a (queries, rows, stages) tensor in bounded-memory chunks and assembles a
+:meth:`FastTDAMArray.search_batch` counts mismatches through a dispatched
+kernel over write-time per-level tables (packed popcount, one-hot GEMM or
+a reference loop) and assembles a
 :class:`BatchSearchResult` through array-valued TDC decode
 (:meth:`~repro.core.sensing.CounterTDC.count_array`) and a precomputed
 energy table (:meth:`~repro.core.energy.TimingEnergyModel.search_energy_table`).
@@ -37,7 +38,6 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
     packed_xor_counts,
 )
 from repro.core.chain import ChainResult, DelayChain
@@ -45,7 +45,7 @@ from repro.core.config import TDAMConfig
 from repro.core.encoding import LevelEncoding, validate_levels
 from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import CounterTDC
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import top_k_indices
 from repro.devices.fefet import FeFET, FeFETParams
 from repro.devices.variation import VariationModel
 from repro.telemetry import metrics as _metrics
@@ -133,6 +133,13 @@ def resolve_query_chunk(
     per_query = n_rows * n_stages * 8
     chunk = effective // per_query
     return int(min(MAX_QUERY_CHUNK, max(MIN_QUERY_CHUNK, chunk)))
+
+
+def _level_major(tables: np.ndarray) -> np.ndarray:
+    """(L, M, N) per-level tables as contiguous (M, L * N) gather rows."""
+    return np.ascontiguousarray(tables.transpose(1, 0, 2)).reshape(
+        tables.shape[1], -1
+    )
 
 
 def _resolve_chunk_arg(chunk: Optional[int], n_rows: int, n_stages: int) -> int:
@@ -551,10 +558,6 @@ class FastTDAMArray:
         self._all_written = False
         self._xor_planes_cache = _XOR_UNSET
 
-    def _calibrate_turn_on_overdrive(self) -> float:
-        """Memoized module-level calibration (kept for compatibility)."""
-        return calibrate_turn_on_overdrive(self.config)
-
     @property
     def turn_on_overdrive(self) -> float:
         """Calibrated switch-on overdrive (V)."""
@@ -645,74 +648,96 @@ class FastTDAMArray:
             self._thresholds_valid = True
         return self._vth_a, self._vth_b, self._vth_a_nom, self._vth_b_nom
 
-    def _update_row_thresholds(self, row: int, values: np.ndarray) -> None:
-        """Refresh one row of the cache after a write (if it is live)."""
-        if self._thresholds_valid:
-            levels = self.config.levels
-            self._vth_a_nom[row] = self._vth[values]
-            self._vth_b_nom[row] = self._vth[levels - 1 - values]
-            self._vth_a[row] = self._vth_a_nom[row] + self._off_a_data[row]
-            self._vth_b[row] = self._vth_b_nom[row] + self._off_b_data[row]
-            if self._tables_valid:
-                mism, contrib = self._build_level_tables(
-                    self._vth_a[row], self._vth_b[row],
-                    self._vth_a_nom[row], self._vth_b_nom[row],
-                )
-                self._mism_table[row] = mism.reshape(-1)
-                self._contrib_table[row] = contrib.reshape(-1)
-                self._mism_gemm[:, :, row] = mism.astype(float)
-                self._mism_packed[:, row, :] = pack_level_planes(
-                    mism[:, None, :]
-                )[:, 0, :]
-                self._xor_planes_cache = _XOR_UNSET
-        else:
-            self._tables_valid = False
+    def _update_row_thresholds(
+        self, rows: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Refresh the written rows of every live cache after a write.
 
-    def _build_level_tables(
-        self,
-        vth_a: np.ndarray,
-        vth_b: np.ndarray,
-        vth_a_nom: np.ndarray,
-        vth_b_nom: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-query-level mismatch and delay-contribution tables.
-
-        For thresholds of shape ``S`` returns ``(mism, contrib)`` of
-        shape ``(L,) + S``: entry ``[l]`` replays the scalar
-        :meth:`search` arithmetic for a stage whose query level is
-        ``l`` -- the boolean mismatch decision and the elementwise
-        ``mism * d_c_eff`` delay contribution.  Elementwise values are
-        bit-identical to the scalar path (same IEEE operations on the
-        same operands), which is what lets the batched kernel gather
-        from these tables instead of recomputing per query.
+        Each table row is the full rebuild's elementwise arithmetic on a
+        row subset, so an updated cache is bit-identical to a rebuilt
+        one; tables that were never built stay unbuilt.
         """
+        if not self._thresholds_valid:
+            self._tables_valid = False
+            return
         levels = self.config.levels
-        extra = (np.newaxis,) * vth_a.ndim
-        vsl_a = self._vsl[:levels][(slice(None),) + extra]
-        vsl_b = self._vsl[levels - 1::-1][(slice(None),) + extra]
-        fa_on = (vsl_a - vth_a) >= self._von
-        fb_on = (vsl_b - vth_b) >= self._von
-        mism = fa_on | fb_on
-        vsl_a_nom = self._vsl_nom[:levels][(slice(None),) + extra]
-        vsl_b_nom = self._vsl_nom[levels - 1::-1][(slice(None),) + extra]
+        self._vth_a_nom[rows] = self._vth[values]
+        self._vth_b_nom[rows] = self._vth[levels - 1 - values]
+        self._vth_a[rows] = self._vth_a_nom[rows] + self._off_a_data[rows]
+        self._vth_b[rows] = self._vth_b_nom[rows] + self._off_b_data[rows]
+        if not self._tables_valid:
+            return
+        mism = self._level_mismatch(rows)
+        self._mism_table[rows] = _level_major(mism)
+        self._mism_packed[:, rows, :] = pack_level_planes(mism)
+        if self._contrib_table is not None:
+            self._contrib_table[rows] = _level_major(self._level_contrib(rows))
+        if self._mism_gemm is not None:
+            self._mism_gemm[:, :, rows] = mism.transpose(0, 2, 1)
+        self._xor_planes_cache = _XOR_UNSET
+
+    def _level_conduction(
+        self, rows=slice(None)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-query-level (F_A on, F_B on) decisions of ``rows``.
+
+        Shape ``(L, len(rows), N)``: entry ``[l]`` replays the scalar
+        :meth:`search` arithmetic for a stage whose query level is
+        ``l`` -- the same IEEE operations on the same operands -- which
+        is what lets the batched kernels gather from write-time tables
+        instead of recomputing per query.  One level at a time through
+        a reused buffer, so no ``(L, M, N)`` float temporary is ever
+        allocated.
+        """
+        vth_a, vth_b, _, _ = (t[rows] for t in self._thresholds())
+        levels = self.config.levels
+        fa_on = np.empty((levels,) + vth_a.shape, dtype=bool)
+        fb_on = np.empty_like(fa_on)
+        scratch = np.empty(vth_a.shape)
+        for level in range(levels):
+            np.subtract(self._vsl[level], vth_a, out=scratch)
+            np.greater_equal(scratch, self._von, out=fa_on[level])
+            np.subtract(self._vsl[levels - 1 - level], vth_b, out=scratch)
+            np.greater_equal(scratch, self._von, out=fb_on[level])
+        return fa_on, fb_on
+
+    def _level_mismatch(self, rows=slice(None)) -> np.ndarray:
+        """Per-query-level boolean mismatch decisions, (L, len(rows), N)."""
+        fa_on, fb_on = self._level_conduction(rows)
+        return np.logical_or(fa_on, fb_on, out=fa_on)
+
+    def _level_contrib(self, rows=slice(None)) -> np.ndarray:
+        """Per-query-level delay contributions ``mism * d_c_eff`` (s).
+
+        The elementwise delay modulation of the scalar :meth:`search`,
+        shape (L, len(rows), N); only non-nominal timing needs it.
+        """
+        vth_a, vth_b, vth_a_nom, vth_b_nom = (
+            t[rows] for t in self._thresholds()
+        )
+        fa_on, fb_on = self._level_conduction(rows)
+        levels = self.config.levels
+        vsl_a = self._vsl[:levels, None, None]
+        vsl_b = self._vsl[levels - 1::-1, None, None]
+        vsl_a_nom = self._vsl_nom[:levels, None, None]
+        vsl_b_nom = self._vsl_nom[levels - 1::-1, None, None]
         dev_a = (vsl_a_nom - vth_a_nom) - (vsl_a - vth_a)
         dev_b = (vsl_b_nom - vth_b_nom) - (vsl_b - vth_b)
         deviation = np.where(fa_on, dev_a, dev_b)
         d_c_eff = self._d_c * np.maximum(
             1.0 + self._delay_sens * deviation, 0.0
         )
-        return mism, mism * d_c_eff
+        return (fa_on | fb_on) * d_c_eff
 
-    def _level_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(mism, contrib) gather tables, shape (n_rows, L * n_stages).
+    def _level_tables(self) -> np.ndarray:
+        """The mismatch gather table, shape (n_rows, L * n_stages).
 
-        Lazily rebuilt write-time caches indexed by ``level * n_stages +
-        stage``: ``mism[m, l * N + n]`` is the mismatch decision of cell
-        ``(m, n)`` against query level ``l``, and ``contrib`` the
-        matching delay contribution (s).  The batched search kernel
-        turns per-query work into one fancy gather plus a contiguous
-        last-axis reduction, which keeps its sums bit-identical to the
-        scalar path's per-row reductions.
+        A lazily rebuilt write-time cache indexed by ``level * n_stages
+        + stage``: ``mism[m, l * N + n]`` is the mismatch decision of
+        cell ``(m, n)`` against query level ``l``.  A rebuild also packs
+        the same decisions into the (L, M, B) bit-planes of the popcount
+        kernel (``_mism_packed``, see :mod:`repro.core.bitplane`); the
+        delay-contribution and GEMM tables are built on first use only.
         """
         if not self._tables_valid:
             if _TM.enabled:
@@ -728,35 +753,45 @@ class FastTDAMArray:
                 self._rebuild_level_tables()
         elif _TM.enabled:
             _CACHE_EVENTS.inc(op="hit")
-        return self._mism_table, self._contrib_table
+        return self._mism_table
 
     def _rebuild_level_tables(self) -> None:
-        """Materialize the gather/GEMM tables from the threshold cache."""
-        vth_a, vth_b, vth_a_nom, vth_b_nom = self._thresholds()
-        mism, contrib = self._build_level_tables(
-            vth_a, vth_b, vth_a_nom, vth_b_nom
-        )
-        # (L, M, N) -> (M, L * N) so a per-chunk gather runs over
-        # the contiguous trailing axis.
-        shape = (self.n_rows, -1)
-        self._mism_table = np.ascontiguousarray(
-            mism.transpose(1, 0, 2)
-        ).reshape(shape)
-        self._contrib_table = np.ascontiguousarray(
-            contrib.transpose(1, 0, 2)
-        ).reshape(shape)
-        # (L, N, M) float copy for the one-hot matmul count path:
-        # every product and partial sum is a small integer, exactly
-        # representable in float64, so any BLAS accumulation order
-        # reproduces the boolean-gather counts bit-for-bit.
-        self._mism_gemm = np.ascontiguousarray(
-            mism.transpose(0, 2, 1).astype(float)
-        )
-        # (L, M, B) uint8 bit-planes for the packed-popcount kernel and
-        # the pruned top-k cascade (see repro.core.bitplane).
+        """Materialize the gather table and bit-planes from the thresholds."""
+        mism = self._level_mismatch()
+        self._mism_table = _level_major(mism)
         self._mism_packed = pack_level_planes(mism)
+        self._contrib_table = None
+        self._mism_gemm = None
         self._xor_planes_cache = _XOR_UNSET
         self._tables_valid = True
+
+    def _contrib_levels(self) -> np.ndarray:
+        """Delay-contribution gather table (s), (n_rows, L * n_stages).
+
+        Laid out like :meth:`_level_tables`; built on first use by
+        :meth:`_delay_adders` (non-nominal timing only).
+        """
+        self._level_tables()
+        if self._contrib_table is None:
+            self._contrib_table = _level_major(self._level_contrib())
+        return self._contrib_table
+
+    def _gemm_levels(self) -> np.ndarray:
+        """(L, n_stages, n_rows) float mismatch table of the GEMM kernel.
+
+        Every product and partial sum of the one-hot matmul is a small
+        integer, exactly representable in float64, so any BLAS
+        accumulation order reproduces the boolean-gather counts
+        bit-for-bit.  Built on first use by :meth:`_counts_gemm`.
+        """
+        mism_table = self._level_tables()
+        if self._mism_gemm is None:
+            self._mism_gemm = np.ascontiguousarray(
+                mism_table.reshape(self.n_rows, self.config.levels, -1)
+                .transpose(1, 2, 0)
+                .astype(float)
+            )
+        return self._mism_gemm
 
     def _xor_bit_planes(self) -> Optional[np.ndarray]:
         """(bits, M, B) stored-level bit-planes, or ``None``.
@@ -801,27 +836,37 @@ class FastTDAMArray:
             raise ValueError(
                 f"vector length {len(values)} != n_stages {self.config.n_stages}"
             )
-        self._stored[row] = values
+        self._write_rows(np.array([row]), values[None, :])
+
+    def _write_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Program distinct ``rows`` with validated ``values``, in order.
+
+        Equivalent to per-row :meth:`write` calls: variation is drawn in
+        one flat draw in the same stream order (row by row, F_A then
+        F_B), and live caches are refreshed for just the written rows.
+        """
+        self._stored[rows] = values
         if self.variation is not None:
-            levels = self.config.levels
-            fa_states = values
-            fb_states = levels - 1 - values
-            self._off_a_data[row] = self.variation.draw(fa_states).vth_shifts
-            self._off_b_data[row] = self.variation.draw(fb_states).vth_shifts
+            n = self.config.n_stages
+            states = np.empty((rows.size, 2, n), dtype=np.int64)
+            states[:, 0, :] = values
+            states[:, 1, :] = self.config.levels - 1 - values
+            shifts = self.variation.draw(states.reshape(-1)).vth_shifts
+            shifts = shifts.reshape(rows.size, 2, n)
+            self._off_a_data[rows] = shifts[:, 0, :]
+            self._off_b_data[rows] = shifts[:, 1, :]
             self._nominal_cache = None
-        self._update_row_thresholds(row, values)
+        self._update_row_thresholds(rows, values)
         if not self._all_written:
-            self._written[row] = True
+            self._written[rows] = True
             self._all_written = bool(self._written.all())
 
     def write_all(self, matrix: Sequence[Sequence[int]]) -> None:
         """Program every row from an (n_rows, n_stages) matrix.
 
         One vectorized write: validation, variation draws, and the
-        threshold-tensor rebuild happen on whole matrices.  The variation
-        stream is consumed in the same order as per-row :meth:`write`
-        calls (row 0 F_A, row 0 F_B, row 1 F_A, ...) in one flat draw,
-        so seeded runs are bit-identical to the historical row loop.
+        cache refresh happen on whole matrices, and seeded runs are
+        bit-identical to a per-row :meth:`write` loop.
         """
         if not _TM.enabled:
             return self._write_all_impl(matrix)
@@ -837,10 +882,15 @@ class FastTDAMArray:
         )
 
     def _write_all_impl(self, matrix: Sequence[Sequence[int]]) -> None:
+        values = self._validate_stored(matrix, self.n_rows)
+        self._write_rows(np.arange(self.n_rows), values)
+
+    def _validate_stored(self, matrix, n_rows: int) -> np.ndarray:
+        """Validate an (n_rows, n_stages) matrix of stored levels."""
         matrix = np.asarray(matrix)
-        if matrix.shape[0] != self.n_rows:
+        if matrix.shape[0] != n_rows:
             raise ValueError(
-                f"matrix has {matrix.shape[0]} rows, array has {self.n_rows}"
+                f"matrix has {matrix.shape[0]} rows, array has {n_rows}"
             )
         values = self._validate_matrix(matrix)
         if values.shape[1] != self.config.n_stages:
@@ -848,25 +898,7 @@ class FastTDAMArray:
                 f"vector length {values.shape[1]} != "
                 f"n_stages {self.config.n_stages}"
             )
-        self._stored[:] = values
-        if self.variation is not None:
-            levels = self.config.levels
-            # Interleave F_A and F_B states row-major so the flat draw
-            # consumes the RNG stream exactly like per-row write calls.
-            states = np.empty(
-                (self.n_rows, 2, self.config.n_stages), dtype=np.int64
-            )
-            states[:, 0, :] = values
-            states[:, 1, :] = levels - 1 - values
-            shifts = self.variation.draw(states.reshape(-1)).vth_shifts
-            shifts = shifts.reshape(self.n_rows, 2, self.config.n_stages)
-            self._off_a_data[:] = shifts[:, 0, :]
-            self._off_b_data[:] = shifts[:, 1, :]
-            self._nominal_cache = None
-        self._thresholds_valid = False
-        self._tables_valid = False
-        self._written[:] = True
-        self._all_written = True
+        return values
 
     def _validate_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Matrix analog of ``LevelEncoding.validate_vector``."""
@@ -911,7 +943,7 @@ class FastTDAMArray:
         """
         q = self._validate_queries(queries)
         chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        mism_table, _ = self._level_tables()
+        mism_table = self._level_tables()
         n = self.config.n_stages
         stage_idx = np.arange(n)
         out = np.empty((q.shape[0], self.n_rows, n), dtype=bool)
@@ -938,23 +970,14 @@ class FastTDAMArray:
     ) -> np.ndarray:
         """Per-row mismatch counts of a query batch, shape (Q, n_rows).
 
-        The reduction-only entry point (no delay modulation): a gather
-        from the write-time per-level mismatch table, bit-identical to
-        the :func:`batched_mismatch_counts` recompute kernel.
+        The reduction-only entry point (no delay modulation) and the one
+        way batched counts are computed: the dispatched count kernel of
+        :meth:`search_batch` (packed popcount / one-hot GEMM / reference
+        loop), bit-identical to the :func:`batched_mismatch_counts`
+        recompute kernel.
         """
         q = self._validate_queries(queries)
-        chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        mism_table, _ = self._level_tables()
-        n = self.config.n_stages
-        stage_idx = np.arange(n)
-        counts = np.empty((q.shape[0], self.n_rows), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            block = q[start:start + chunk]
-            idx = block * n + stage_idx
-            counts[start:start + chunk] = (
-                mism_table.take(idx, axis=1).sum(axis=2).T
-            )
-        return counts
+        return self._batch_kernel(q, self._resolve_batch_chunk(chunk, q))
 
     def result_from_mismatch_matrix(
         self,
@@ -1070,8 +1093,7 @@ class FastTDAMArray:
         representable in float64, so any BLAS accumulation order
         reproduces the boolean-gather counts bit-for-bit.
         """
-        self._level_tables()
-        mism_gemm = self._mism_gemm
+        mism_gemm = self._gemm_levels()
         levels = self.config.levels
         n_q = queries.shape[0]
         counts = np.empty((n_q, self.n_rows), dtype=np.int64)
@@ -1095,35 +1117,27 @@ class FastTDAMArray:
         over the stored-level bit-planes.  Counts are exact integers,
         identical to every other kernel.
         """
-        self._level_tables()
-        n_q = queries.shape[0]
         stored_bits = self._xor_bit_planes()
         if stored_bits is not None:
             bits = stored_bits.shape[0]
-            if n_q <= chunk:
+
+            def kernel(block: np.ndarray) -> np.ndarray:
                 return packed_xor_counts(
-                    stored_bits, pack_bit_planes(queries, bits)
-                )
-            counts = np.empty((n_q, self.n_rows), dtype=np.int64)
-            for start in range(0, n_q, chunk):
-                block = queries[start:start + chunk]
-                counts[start:start + chunk] = packed_xor_counts(
                     stored_bits, pack_bit_planes(block, bits)
                 )
-            return counts
-        planes = self._mism_packed
-        levels = self.config.levels
+        else:
+            planes, levels = self._mism_packed, self.config.levels
+
+            def kernel(block: np.ndarray) -> np.ndarray:
+                return packed_mismatch_counts(
+                    planes, pack_query_masks(block, levels)
+                )
+        n_q = queries.shape[0]
         if n_q <= chunk:
-            return packed_mismatch_counts(
-                planes, pack_query_masks(queries, levels)
-            )
+            return kernel(queries)
         counts = np.empty((n_q, self.n_rows), dtype=np.int64)
         for start in range(0, n_q, chunk):
-            block = queries[start:start + chunk]
-            masks = pack_query_masks(block, levels)
-            counts[start:start + chunk] = packed_mismatch_counts(
-                planes, masks
-            )
+            counts[start:start + chunk] = kernel(queries[start:start + chunk])
         return counts
 
     def _counts_loop(self, queries: np.ndarray) -> np.ndarray:
@@ -1134,7 +1148,7 @@ class FastTDAMArray:
         harness and the property tests pin it to prove the fast kernels
         bit-exact.
         """
-        mism_table, _ = self._level_tables()
+        mism_table = self._level_tables()
         n = self.config.n_stages
         stage_idx = np.arange(n)
         counts = np.empty((queries.shape[0], self.n_rows), dtype=np.int64)
@@ -1153,7 +1167,7 @@ class FastTDAMArray:
         operand order as the scalar per-row sums, so per-query delays
         are bit-identical to the one-query path.
         """
-        _, contrib_table = self._level_tables()
+        contrib_table = self._contrib_levels()
         n = self.config.n_stages
         stage_idx = np.arange(n)
         n_q = queries.shape[0]
@@ -1211,15 +1225,10 @@ class FastTDAMArray:
             },
         )
 
-    def _batch_kernel(
-        self, queries: np.ndarray, chunk: int
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Counts and delay adders of a query batch, kernel-dispatched.
+    def _batch_kernel(self, queries: np.ndarray, chunk: int) -> np.ndarray:
+        """Mismatch counts of a query batch, kernel-dispatched, (Q, M).
 
-        Returns ``(mismatch_counts, delay_adders_s)`` of shape (Q, M);
-        the adders are ``None`` under nominal timing, where the delay
-        law reduces exactly to ``counts * d_C`` for every path.  The
-        count kernel (packed popcount vs. one-hot GEMM vs. reference
+        The count kernel (packed popcount vs. one-hot GEMM vs. reference
         loop) is chosen by :mod:`repro.core.kernels`: explicit override
         first, else a per-geometry autotune over a small query sample.
         Counts are exact integers in every kernel, so the choice never
@@ -1247,20 +1256,17 @@ class FastTDAMArray:
                 return self._counts_gemm(queries, chunk)
             return self._counts_loop(queries)
 
-        if _TM.enabled:
-            # The dispatch span inherits the active request/batch
-            # context -- the last hop of a request's trace.
-            with _trace.span(
-                "kernel.dispatch",
-                kernel=name,
-                rows=self.n_rows,
-                queries=int(queries.shape[0]),
-            ):
-                counts = _run()
-        else:
-            counts = _run()
-        adders = None if nominal else self._delay_adders(queries, chunk)
-        return counts, adders
+        if not _TM.enabled:
+            return _run()
+        # The dispatch span inherits the active request/batch context --
+        # the last hop of a request's trace.
+        with _trace.span(
+            "kernel.dispatch",
+            kernel=name,
+            rows=self.n_rows,
+            queries=int(queries.shape[0]),
+        ):
+            return _run()
 
     def search(self, query: Sequence[int]) -> SearchResult:
         """Parallel 2-step search (vectorized)."""
@@ -1349,24 +1355,26 @@ class FastTDAMArray:
     ) -> BatchSearchResult:
         q = self._validate_queries(queries)
         chunk = self._resolve_batch_chunk(chunk, q)
-        counts, adders = self._batch_kernel(q, chunk)
+        counts = self._batch_kernel(q, chunk)
+        adders = (
+            None if self._timing_is_nominal() else self._delay_adders(q, chunk)
+        )
         return self.batch_result_from_mismatch_counts(
             counts, delay_adders_s=adders
         )
 
     # ------------------------------------------------------------------
-    # Pruned top-k path
+    # Count-ranked top-k path
     # ------------------------------------------------------------------
     def _delay_strictly_monotone(self) -> bool:
         """Whether delay strictly increases with the mismatch count.
 
-        The pruned cascade drops rows whose count lower bound exceeds
-        the k-th upper bound; that is safe under full distance ties
-        only if a strictly larger count also implies a strictly larger
-        delay (the tie-breaker).  True for any physical design point
-        (``d_C > 0`` well above the ulp of the base delay); checked
-        explicitly so a degenerate config falls back to the exhaustive
-        path instead of silently mispruning.
+        Count-ranked top-k orders rows by (count, row); that equals the
+        (distance, delay, row) order only if a strictly larger count
+        also implies a strictly larger delay (the tie-breaker).  True
+        for any physical design point (``d_C > 0`` well above the ulp of
+        the base delay); checked explicitly so a degenerate config
+        falls back to the exhaustive path instead of silently misranking.
         """
         ladder = self._base_delay + (
             np.arange(self.config.n_stages + 1) * self._d_c
@@ -1384,13 +1392,14 @@ class FastTDAMArray:
 
         Bit-identical to ``search_batch(queries).top_k(k)`` (restricted
         to ``rows`` when given) -- an exactness suite asserts it -- but
-        served through the **pruned top-k cascade** when timing is
-        nominal: mismatch counts over a stage prefix lower-bound each
-        row's final count, rows that cannot enter the top-k are pruned,
-        and only the survivors are refined and ranked.  The cascade
-        skips the full TDC decode, energy accounting, and winner
-        resolution of the exhaustive path.  Under variation (or a
-        degenerate delay ladder) it falls back to the exhaustive
+        **count-ranked** when timing is nominal and the delay ladder is
+        strictly monotone: then delay is strictly increasing in the
+        mismatch count and the TDC decode is monotone in delay, so the
+        (distance, delay, row) order is the (count, row) order.  Per
+        query chunk, the dispatched count kernel runs and the k smallest
+        ``count * M + row`` keys are selected per query, skipping the
+        TDC decode, energy accounting and winner resolution of the
+        exhaustive path.  Otherwise it falls back to the exhaustive
         search transparently.
 
         Args:
@@ -1439,7 +1448,25 @@ class FastTDAMArray:
         if not 1 <= k <= m:
             raise ValueError(f"k must be in [1, {m}], got {k}")
         if self._timing_is_nominal() and self._delay_strictly_monotone():
-            return self._top_k_pruned(q, k, rows_arr, chunk)
+            out = np.empty((q.shape[0], k), dtype=np.int64)
+            ids = np.arange(m)
+            for start in range(0, q.shape[0], chunk):
+                keys = self._batch_kernel(q[start:start + chunk], chunk)
+                if rows_arr is not None:
+                    keys = keys[:, rows_arr]
+                # Distinct keys: one partition plus a k-wide sort orders
+                # the k smallest (count, row) pairs exactly; key % m is
+                # the row.
+                keys *= m
+                keys += ids
+                top = np.partition(keys, k - 1, axis=1)[:, :k]
+                top.sort(axis=1)
+                out[start:start + chunk] = top % m
+            if _TM.enabled:
+                _emit_probe(
+                    "topk.ranked", rows=int(m), queries=int(q.shape[0]), k=k
+                )
+            return out if rows_arr is None else rows_arr[out]
         batch = self._search_batch_impl(q, chunk)
         if rows_arr is None:
             return batch.top_k(k)
@@ -1449,75 +1476,6 @@ class FastTDAMArray:
             delays_s=batch.delays_s[:, rows_arr],
             row_ids=rows_arr,
         )
-
-    def _top_k_pruned(
-        self,
-        q: np.ndarray,
-        k: int,
-        rows_arr: Optional[np.ndarray],
-        chunk: int,
-    ) -> np.ndarray:
-        """The prefix-count / prune / refine cascade (nominal timing).
-
-        Exactness argument: over the prefix, ``prefix <= final <=
-        prefix + rem`` bounds every row's final count, so rows pruned
-        by :func:`~repro.core.topk.prune_survivors` final-count
-        strictly above at least ``k`` others -- and with a strictly
-        monotone delay ladder they also lose every delay tie-break.
-        Survivor refinement then uses the *exact* keys of the
-        exhaustive path: the same delay floats (``base + count *
-        d_C``), the same TDC decode, the same (distance, delay, row)
-        ordering.
-        """
-        self._level_tables()
-        planes = self._mism_packed
-        if rows_arr is not None:
-            planes = np.ascontiguousarray(planes[:, rows_arr, :])
-        n = self.config.n_stages
-        b_pad = planes.shape[2]
-        # Prefix = the first half of the padded words (>= 1 word); a
-        # one-word plane is covered entirely and refinement is a no-op.
-        pb = 8 * max(1, (b_pad // 8) // 2)
-        rem = max(0, n - pb * 8)
-        levels = self.config.levels
-        n_q = q.shape[0]
-        out = np.empty((n_q, k), dtype=np.int64)
-        survivors = 0
-        for start in range(0, n_q, chunk):
-            block = q[start:start + chunk]
-            masks = pack_query_masks(block, levels)
-            prefix = packed_mismatch_counts(
-                planes[:, :, :pb], masks[:, :, :pb]
-            )
-            q_idx, r_idx = prune_survivors(prefix, k, rem)
-            survivors += q_idx.shape[0]
-            totals = prefix[q_idx, r_idx]
-            if rem:
-                totals = totals + packed_pair_counts(
-                    planes[:, :, pb:], masks[:, :, pb:], q_idx, r_idx
-                )
-            delays = self._base_delay + totals * self._d_c
-            distances = self.tdc.decode_array(delays)
-            out[start:start + chunk] = grouped_top_k(
-                q_idx,
-                r_idx,
-                distances,
-                k,
-                block.shape[0],
-                secondary=delays,
-            )
-        if rows_arr is not None:
-            out = rows_arr[out]
-        if _TM.enabled:
-            _emit_probe(
-                "topk.pruned",
-                rows=int(planes.shape[1]),
-                queries=int(n_q),
-                k=int(k),
-                survivors=int(survivors),
-                prefix_stages=int(min(n, pb * 8)),
-            )
-        return out
 
     def ideal_hamming(self, query: Sequence[int]) -> np.ndarray:
         """Variation-free per-row Hamming distances."""

@@ -92,48 +92,40 @@ class FaultyTDAMArray:
         """Design point of the wrapped array (interface symmetry)."""
         return self.array.config
 
-    def faulted_mismatch_matrix(self, query) -> np.ndarray:
-        """Mismatch decisions with the fault map applied.
+    def _replay(self, mism: np.ndarray) -> np.ndarray:
+        """Apply the fault map to (..., M, N) decisions in place.
 
-        Stuck cells override the device-level decision; a dead row is
-        all-True (its chain never produces an edge, so the controller
-        times out at the maximum distance).  Dead rows are applied last
-        and dominate any cell fault on the same row.
+        Stuck cells override the device-level decision in fault-list
+        order; a dead row is all-True (its chain never produces an edge,
+        so the controller times out at the maximum distance).  Dead rows
+        are applied last and dominate any cell fault on the same row.
         """
-        mism = self.array.mismatch_matrix(query).copy()
         dead_rows: List[int] = []
         for fault in self.faults:
-            if fault.kind == FaultType.STUCK_MISMATCH:
-                mism[fault.row, fault.stage] = True
-            elif fault.kind == FaultType.STUCK_MATCH:
-                mism[fault.row, fault.stage] = False
-            else:
+            if fault.kind == FaultType.DEAD_ROW:
                 dead_rows.append(fault.row)
-        for row in dead_rows:
-            mism[row, :] = True
+            else:
+                mism[..., fault.row, fault.stage] = (
+                    fault.kind == FaultType.STUCK_MISMATCH
+                )
+        mism[..., dead_rows, :] = True
         return mism
+
+    def faulted_mismatch_matrix(self, query) -> np.ndarray:
+        """Mismatch decisions with the fault map applied (see
+        :meth:`_replay`), shape (M, N)."""
+        return self._replay(self.array.mismatch_matrix(query))
 
     def faulted_mismatch_tensor(
         self, queries: np.ndarray, chunk: Optional[int] = None
     ) -> np.ndarray:
         """Batched :meth:`faulted_mismatch_matrix`, shape (Q, M, N).
 
-        The fault map is query-independent, so it is replayed on the
-        clean (Q, M, N) tensor with the same sequential override
-        semantics (fault-list order; dead rows last and dominant).
+        The reference oracle of :meth:`mismatch_count_batch`: the fault
+        map is query-independent, so it is replayed on the clean tensor
+        with the same sequential override semantics.
         """
-        tensor = self.array.mismatch_tensor(queries, chunk=chunk)
-        dead_rows: List[int] = []
-        for fault in self.faults:
-            if fault.kind == FaultType.STUCK_MISMATCH:
-                tensor[:, fault.row, fault.stage] = True
-            elif fault.kind == FaultType.STUCK_MATCH:
-                tensor[:, fault.row, fault.stage] = False
-            else:
-                dead_rows.append(fault.row)
-        for row in dead_rows:
-            tensor[:, row, :] = True
-        return tensor
+        return self._replay(self.array.mismatch_tensor(queries, chunk=chunk))
 
     def mismatch_count_batch(
         self,
@@ -143,26 +135,49 @@ class FaultyTDAMArray:
     ) -> np.ndarray:
         """Faulted per-row mismatch counts of a query batch, shape (Q, M).
 
+        The dispatched kernel's clean counts plus an exact correction:
+        only the stage columns carrying a cell fault or a mask are
+        gathered, the fault map is replayed on them (fault-list order,
+        masking last) and their faulted-minus-clean sums are added;
+        dead rows then time out over every unmasked stage.  Equal to
+        summing the masked :meth:`faulted_mismatch_tensor`.
+
         Args:
             queries: Query levels, shape (Q, n_stages).
-            chunk: Queries per materialized tensor chunk; ``None``
-                auto-sizes.
+            chunk: Queries per kernel chunk; ``None`` auto-sizes.
             masked_stages: Stage columns forced to *match* after the
                 fault overrides (the resilient array's column masking;
                 applied last, so it silences stuck-mismatch cells and
                 trims dead-row timeouts exactly like the scalar path).
         """
         q = self.array._validate_queries(queries)
-        chunk = _resolve_chunk_arg(chunk, self.n_rows, self.config.n_stages)
-        masked = list(masked_stages)
-        counts = np.empty((q.shape[0], self.n_rows), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            tensor = self.faulted_mismatch_tensor(
-                q[start:start + chunk], chunk=chunk
-            )
-            if masked:
-                tensor[:, :, masked] = False
-            counts[start:start + chunk] = tensor.sum(axis=2)
+        counts = self.array.mismatch_count_batch(q, chunk=chunk)
+        masked = sorted(set(masked_stages))
+        if masked and not 0 <= masked[0] <= masked[-1] < self.config.n_stages:
+            raise ValueError(f"masked stages {masked} out of range")
+        cells = [f for f in self.faults if f.kind != FaultType.DEAD_ROW]
+        cols = sorted(set(masked).union(f.stage for f in cells))
+        if cols:
+            n = self.config.n_stages
+            pos = {stage: i for i, stage in enumerate(cols)}
+            masked_pos = [pos[stage] for stage in masked]
+            cols_arr = np.asarray(cols)
+            table = self.array._level_tables()
+            step = _resolve_chunk_arg(chunk, self.n_rows, len(cols))
+            for start in range(0, q.shape[0], step):
+                block = q[start:start + step]
+                clean = table[:, block[:, cols_arr] * n + cols_arr]
+                faulted = clean.copy()
+                for fault in cells:
+                    faulted[fault.row, :, pos[fault.stage]] = (
+                        fault.kind == FaultType.STUCK_MISMATCH
+                    )
+                faulted[:, :, masked_pos] = False
+                counts[start:start + step] += (
+                    faulted.sum(axis=2) - clean.sum(axis=2)
+                ).T
+        dead = [f.row for f in self.faults if f.kind == FaultType.DEAD_ROW]
+        counts[:, dead] = self.config.n_stages - len(masked)
         return counts
 
     def search(self, query) -> SearchResult:

@@ -1,9 +1,9 @@
 """Cluster-routed approximate top-k over a memmapped bit-plane store.
 
 The scale-out shape of Kazemi et al. (arXiv 2011.07095): a coarse
-quantizer routes each query to its ``nprobe`` nearest clusters, and the
-exact prefix-count -> prune -> refine cascade of
-:meth:`FastTDAMArray.top_k_batch` then runs *inside only those shards*,
+quantizer routes each query to its ``nprobe`` nearest clusters, and an
+exact prefix-count -> prune -> refine cascade then runs *inside only
+those shards*,
 directly on the store's memmapped plane slices.  Survivors get exact
 Hamming re-ranking under the shared (distance, delay, row) ordering and
 a :func:`grouped_top_k` gather merges the shards.
@@ -331,8 +331,8 @@ class ClusteredTDAMIndex:
         rows_probed = 0
         n = self.config.n_stages
         b_pad = self.store.byte_width
-        # Same prefix rule as FastTDAMArray._top_k_pruned: the first
-        # half of the padded words; one-word planes are covered whole.
+        # Prefix = the first half of the padded words; one-word planes
+        # are covered whole.
         pb = 8 * max(1, (b_pad // 8) // 2)
         rem = max(0, n - pb * 8)
         for s in range(self.store.n_shards):

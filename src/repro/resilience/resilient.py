@@ -214,8 +214,10 @@ class TopKResult:
         rows: Per-query top-k logical row indices, shape (Q, k).
         degraded: Whether retired rows existed while serving (the
             ranking may omit stored vectors).
-        pruned: Whether the pruned cascade served the request (pristine
-            arrays only); ``False`` means the exhaustive fallback ran.
+        pruned: Whether the count-ranked top-k path served the request
+            (pristine arrays only); ``False`` means the exhaustive
+            fallback ran.  The name predates the count-ranked path and
+            is kept for the wire format.
         retired_rows: Logical rows without a physical home.
     """
 
@@ -328,24 +330,35 @@ class ResilientTDAMArray:
         self._replica = ReplicaCalibratedTDC(
             config, measure_replica(self._physical.timing)
         )
-        zeros = np.zeros(config.n_stages, dtype=np.int64)
-        for phys in range(total):
-            self._write_physical(phys, zeros)
+        self._write_physical(
+            np.arange(total), np.zeros((total, config.n_stages), np.int64)
+        )
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def _write_physical(self, phys: int, vector: np.ndarray) -> None:
-        """Program one physical row: resets its drift clock and records
-        the write-time offsets as the new drift baseline."""
-        self._physical.write(phys, vector)
-        if self._physical.variation is None:
-            self._physical._off_a[phys] = 0.0
-            self._physical._off_b[phys] = 0.0
-            self._physical.invalidate_threshold_cache()
-        self._base_off_a[phys] = self._physical._off_a[phys]
-        self._base_off_b[phys] = self._physical._off_b[phys]
+    def _write_physical(self, phys: np.ndarray, values: np.ndarray) -> None:
+        """Program physical rows ``phys`` (in order) with validated
+        ``values``: resets their drift clocks and records the write-time
+        offsets as the new drift baseline."""
+        physical = self._physical
+        if physical.variation is None:
+            # No write-time draw replaces the drift: clear it first, so
+            # the write below finds the caches already stale.
+            physical._off_a[phys] = 0.0
+            physical._off_b[phys] = 0.0
+            physical.invalidate_threshold_cache()
+        physical._write_rows(phys, values)
+        self._base_off_a[phys] = physical._off_a[phys]
+        self._base_off_b[phys] = physical._off_b[phys]
         self._row_age_s[phys] = 0.0
+
+    def _live_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Logical rows with a physical home (ascending) and those homes."""
+        live = np.ones(self.n_rows, dtype=bool)
+        live[list(self._retired)] = False
+        live = np.flatnonzero(live)
+        return live, np.asarray(self._map, dtype=np.int64)[live]
 
     def write(self, row: int, vector: Sequence[int]) -> None:
         """Store one logical vector (kept in the shadow image too).
@@ -360,18 +373,22 @@ class ResilientTDAMArray:
         values = self._physical.encoding.validate_vector(vector)
         self._shadow[row] = values
         if row not in self._retired:
-            self._write_physical(self._map[row], values)
-            self._cycles[self._map[row]] += 1
+            phys = np.array([self._map[row]])
+            self._write_physical(phys, values[None, :])
+            self._cycles[phys] += 1
 
     def write_all(self, matrix: Sequence[Sequence[int]]) -> None:
-        """Store every logical row from an (n_rows, n_stages) matrix."""
-        matrix = np.asarray(matrix)
-        if matrix.shape[0] != self.n_rows:
-            raise ValueError(
-                f"matrix has {matrix.shape[0]} rows, array has {self.n_rows}"
-            )
-        for row in range(self.n_rows):
-            self.write(row, matrix[row])
+        """Store every logical row from an (n_rows, n_stages) matrix.
+
+        One vectorized write over the mapped physical rows, bit-identical
+        to a :meth:`write` loop (variation is drawn in logical row
+        order); retired rows go to the shadow image only.
+        """
+        values = self._physical._validate_stored(matrix, self.n_rows)
+        self._shadow[:] = values
+        live, phys = self._live_rows()
+        self._write_physical(phys, values[live])
+        self._cycles[phys] += 1
 
     # ------------------------------------------------------------------
     # Aging
@@ -422,12 +439,16 @@ class ResilientTDAMArray:
         ):
             return self._search_impl(query)
 
-    def _search_impl(self, query: Sequence[int]) -> ResilientSearchResult:
+    def _self_test_if_due(self) -> None:
+        """The automatic BIST-and-repair loop, every ``bist_interval``."""
         if (
             self.bist_interval is not None
             and self._searches_since_bist >= self.bist_interval
         ):
             self.self_test_and_repair()
+
+    def _search_impl(self, query: Sequence[int]) -> ResilientSearchResult:
+        self._self_test_if_due()
         self._searches_since_bist += 1
         mism = self._backing.faulted_mismatch_matrix(query)
         if self._masked:
@@ -459,11 +480,7 @@ class ResilientTDAMArray:
     def _search_batch_impl(
         self, queries: np.ndarray, chunk: Optional[int] = None
     ) -> ResilientBatchSearchResult:
-        if (
-            self.bist_interval is not None
-            and self._searches_since_bist >= self.bist_interval
-        ):
-            self.self_test_and_repair()
+        self._self_test_if_due()
         counts = self._backing.mismatch_count_batch(
             queries, chunk=chunk, masked_stages=self._masked
         )
@@ -471,8 +488,8 @@ class ResilientTDAMArray:
         raw = self._physical.batch_result_from_mismatch_counts(counts)
         return self._logical_view_batch(raw)
 
-    def _pruned_topk_eligible(self) -> bool:
-        """Whether the physical pruned cascade answers for logical rows.
+    def _ranked_topk_eligible(self) -> bool:
+        """Whether the physical count-ranked top-k answers for logical rows.
 
         True only for a *pristine* array: no retired rows, no masked
         stages, no injected faults, the identity logical-to-physical
@@ -498,9 +515,13 @@ class ResilientTDAMArray:
         """Per-query top-k logical rows, served as cheaply as health allows.
 
         A pristine array (no faults, repairs, masking, or drift) is
-        served by the physical array's pruned top-k cascade; any
-        degradation falls back to the full batched logical search and
-        ranks its result.  Both produce the rows that
+        served by the physical array's count-ranked top-k
+        (:meth:`FastTDAMArray.top_k_batch`): one dispatched count kernel
+        and a k-smallest selection of (count, row) keys.  Any
+        degradation falls back to the full batched logical search --
+        the same count kernel plus the fault correction of
+        :meth:`FaultyTDAMArray.mismatch_count_batch` -- and ranks its
+        result.  Both produce the rows that
         ``search_batch(queries).top_k(k)`` would -- an exactness suite
         asserts it -- and the automatic BIST due-check still runs.
         """
@@ -521,12 +542,8 @@ class ResilientTDAMArray:
     def _top_k_batch_impl(
         self, queries: np.ndarray, k: int, chunk: Optional[int]
     ) -> TopKResult:
-        if (
-            self.bist_interval is not None
-            and self._searches_since_bist >= self.bist_interval
-        ):
-            self.self_test_and_repair()
-        if self._pruned_topk_eligible():
+        self._self_test_if_due()
+        if self._ranked_topk_eligible():
             rows = self._physical.top_k_batch(
                 queries,
                 k,
@@ -551,23 +568,26 @@ class ResilientTDAMArray:
     def _logical_view_batch(self, raw) -> ResilientBatchSearchResult:
         n_eff = self.config.n_stages - len(self._masked)
         timeout = self._physical.timing.chain_delay(self.config.n_stages)
-        n_q = raw.hamming_distances.shape[0]
-        distances = np.full((n_q, self.n_rows), n_eff, dtype=np.int64)
-        delays = np.full((n_q, self.n_rows), timeout)
-        live = [r for r in range(self.n_rows) if r not in self._retired]
-        if live:
-            phys = [self._map[r] for r in live]
-            distances[:, live] = np.minimum(
-                raw.hamming_distances[:, phys], n_eff
-            )
-            delays[:, live] = raw.delays_s[:, phys]
-            live_arr = np.asarray(live)
-            best = live_arr[
-                resolve_best_batch(distances[:, live], delays[:, live])
-            ]
+        # Gather every logical row from its (last) physical home, then
+        # overwrite the retired columns: one take per matrix, no scatter.
+        phys = np.asarray(self._map, dtype=np.int64)
+        distances = raw.hamming_distances.take(phys, axis=1).astype(np.int64)
+        np.minimum(distances, n_eff, out=distances)
+        delays = raw.delays_s.take(phys, axis=1)
+        retired = sorted(self._retired)
+        n_live = self.n_rows - len(retired)
+        ranked = delays
+        if retired:
+            distances[:, retired] = n_eff
+            delays[:, retired] = timeout
+            # An infinite delay keeps a retired row from winning a
+            # maximum-distance tie with a live row.
+            ranked = delays.copy()
+            ranked[:, retired] = np.inf
+        if n_live:
+            best = resolve_best_batch(distances, ranked)
         else:
-            best = np.full(n_q, -1, dtype=np.int64)
-        live_fraction = len(live) / self.n_rows
+            best = np.full(len(distances), -1, dtype=np.int64)
         stage_fraction = n_eff / self.config.n_stages
         return ResilientBatchSearchResult(
             hamming_distances=distances,
@@ -577,9 +597,9 @@ class ResilientTDAMArray:
             energies_j=raw.energies_j,
             n_stages=self.config.n_stages,
             n_effective_stages=n_eff,
-            degraded=bool(self._retired),
-            confidence=live_fraction * stage_fraction,
-            retired_rows=tuple(sorted(self._retired)),
+            degraded=bool(retired),
+            confidence=n_live / self.n_rows * stage_fraction,
+            retired_rows=tuple(retired),
             masked_stages=self._masked,
         )
 
@@ -656,16 +676,17 @@ class ResilientTDAMArray:
         return diagnosis
 
     def _restore_data(self) -> None:
-        mapped = set()
-        for r in range(self.n_rows):
-            if r in self._retired:
-                continue
-            self._write_physical(self._map[r], self._shadow[r])
-            mapped.add(self._map[r])
-        zeros = np.zeros(self.config.n_stages, dtype=np.int64)
-        for phys in range(len(self._row_age_s)):
-            if phys not in mapped:
-                self._write_physical(phys, zeros)
+        """Rewrite every physical row: live logical rows from the shadow
+        (in logical order), then every other row with zeros."""
+        live, mapped = self._live_rows()
+        unmapped = np.setdiff1d(
+            np.arange(len(self._row_age_s)), mapped, assume_unique=True
+        )
+        values = np.zeros(
+            (len(self._row_age_s), self.config.n_stages), dtype=np.int64
+        )
+        values[:live.size] = self._shadow[live]
+        self._write_physical(np.concatenate([mapped, unmapped]), values)
 
     def apply_repairs(
         self, diagnosis: Optional[DiagnosisReport] = None
@@ -694,7 +715,9 @@ class ResilientTDAMArray:
                 r = phys_to_logical[old_phys]
                 self._map[r] = spare
                 self._free_spares.remove(spare)
-                self._write_physical(spare, self._shadow[r])
+                self._write_physical(
+                    np.array([spare]), self._shadow[r][None, :]
+                )
                 self._cycles[spare] += 1
             for old_phys in plan.retired_rows:
                 self._retired.add(phys_to_logical[old_phys])

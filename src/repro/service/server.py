@@ -155,7 +155,7 @@ class TopKServiceResponse:
         degraded: ``True`` whenever the answer may be incomplete (the
             serving shard had retired rows, or the degraded fallback
             path served the request).
-        pruned: Whether the shard's pruned top-k cascade served it.
+        pruned: Whether the shard's count-ranked top-k path served it.
         shard_id: The replica that produced the answer.
         attempts: Shard attempts made (1 = first try succeeded).
         retries: Retries among those attempts.
@@ -469,10 +469,10 @@ class TDAMSearchService:
     ) -> TopKServiceResponse:
         """Serve a batched top-k request under one shared deadline.
 
-        The cheap path: a pristine shard answers through its pruned
-        top-k cascade (no full distance matrix, decode, or energy
-        accounting); a degraded shard falls back to ranking its full
-        batched search.  Same admission, deadline, retry, breaker, and
+        The cheap path: a pristine shard answers through its count-ranked
+        top-k (one count kernel and a k-smallest selection; no TDC
+        decode, energy accounting or winner resolution); a degraded
+        shard falls back to ranking its full batched search.  Same admission, deadline, retry, breaker, and
         degraded-fallback semantics as :meth:`search_batch`.
         """
         qs = self._admit_matrix(queries, name="query batch")

@@ -52,10 +52,7 @@ PROBE_EVENTS: Dict[str, str] = {
         "one in-fabric HDC encode served: n_samples, dimension, "
         "weight_bits, activation_bits, modeled latency_s and energy_j"
     ),
-    "topk.pruned": (
-        "pruned top-k cascade served: rows, queries, k, survivors, "
-        "prefix_stages"
-    ),
+    "topk.ranked": "count-ranked top-k served: rows, queries, k",
     "cache.threshold": (
         "threshold/level-table cache event: op in "
         "{hit, rebuild, invalidate}"

@@ -1,11 +1,12 @@
-"""Exactness tests of the shared top-k helpers and the pruned cascade.
+"""Exactness tests of the shared top-k helpers and ``top_k_batch``.
 
 ``top_k_indices`` is the single home of the (distance, delay, row)
 ranking rule, so its fast path must be bit-identical to a plain lexsort;
 ``FastTDAMArray.top_k_batch`` promises the exact rows of
-``search_batch(queries).top_k(k)`` whether the pruned cascade or the
+``search_batch(queries).top_k(k)`` whether the count-ranked path or the
 exhaustive fallback serves it.  These tests pin both contracts,
-including the tie-heavy inputs where a sloppy prune bound would differ.
+including the tie-heavy inputs where a sloppy tie-break would differ.
+The prune/group helpers serve the clustered index's cascade.
 """
 
 import numpy as np
@@ -198,8 +199,8 @@ class TestArrayTopKBatch:
         assert np.array_equal(top[:, 0], np.arange(10))
 
     def test_tie_heavy_queries(self, written_array):
-        # Identical rows force full (distance, delay) ties; the prune
-        # bound must keep them all and the index rule must order them.
+        # Identical rows force full (distance, delay) ties; the row
+        # index rule must order them.
         config = TDAMConfig(bits=2, n_stages=21)
         array = FastTDAMArray(config, n_rows=6)
         array.write_all(np.ones((6, 21), dtype=np.int64))

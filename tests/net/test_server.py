@@ -29,20 +29,22 @@ from repro.telemetry.request import RequestContext, request_scope
 
 
 def _raw_conversation(port, frames, max_wait_s=5.0):
-    """Send raw frames after a handshake; return all reply messages."""
+    """Send raw frames after a handshake; return the reply messages.
+
+    Reads until one reply per frame has arrived after the handshake
+    reply, the server closes, or framing breaks; ``max_wait_s`` only
+    guards against a hung server.
+    """
     sock = socket.create_connection(("127.0.0.1", port), timeout=max_wait_s)
     decoder = FrameDecoder()
     replies = []
+    expected = 1 + len(frames)
     try:
         sock.sendall(encode_frame(hello_message()))
         for frame in frames:
             sock.sendall(frame)
-        sock.settimeout(max_wait_s)
-        while True:
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout:
-                break
+        while len(replies) < expected:
+            chunk = sock.recv(65536)
             if not chunk:
                 break
             try:
