@@ -685,7 +685,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     index_search = index_sub.add_parser(
         "search",
         help="reopen a published store and probe it (exits non-zero "
-             "when --min-recall or --max-rss-mb is violated)",
+             "when --min-recall or --max-rss-mb is violated, or when a "
+             "query probed alone differs from its batched answer)",
         parents=[telemetry_options],
     )
     index_search.add_argument(

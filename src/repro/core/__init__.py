@@ -39,7 +39,6 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
     popcount,
 )
 from repro.core.cell import CellState, MultiBitIMCCell
@@ -73,7 +72,7 @@ from repro.core.replica import (
 from repro.core.scheduler import OperationScheduler, PhaseSchedule, TileSchedule
 from repro.core.sensing import CounterTDC, SensingAnalysis
 from repro.core.stage import DelayStage
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import count_top_k, grouped_top_k, top_k_indices
 
 __all__ = [
     "TDAMConfig",
@@ -96,7 +95,6 @@ __all__ = [
     "pack_level_planes",
     "pack_query_masks",
     "packed_mismatch_counts",
-    "packed_pair_counts",
     "popcount",
     "KERNEL_ENV_VAR",
     "available_kernels",
@@ -110,7 +108,7 @@ __all__ = [
     "mvm",
     "top_k_indices",
     "grouped_top_k",
-    "prune_survivors",
+    "count_top_k",
     "CounterTDC",
     "SensingAnalysis",
     "TimingEnergyModel",

@@ -45,7 +45,7 @@ from repro.core.config import TDAMConfig
 from repro.core.encoding import LevelEncoding, validate_levels
 from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import CounterTDC
-from repro.core.topk import top_k_indices
+from repro.core.topk import count_top_k, top_k_indices
 from repro.devices.fefet import FeFET, FeFETParams
 from repro.devices.variation import VariationModel
 from repro.telemetry import metrics as _metrics
@@ -1449,19 +1449,11 @@ class FastTDAMArray:
             raise ValueError(f"k must be in [1, {m}], got {k}")
         if self._timing_is_nominal() and self._delay_strictly_monotone():
             out = np.empty((q.shape[0], k), dtype=np.int64)
-            ids = np.arange(m)
             for start in range(0, q.shape[0], chunk):
-                keys = self._batch_kernel(q[start:start + chunk], chunk)
+                counts = self._batch_kernel(q[start:start + chunk], chunk)
                 if rows_arr is not None:
-                    keys = keys[:, rows_arr]
-                # Distinct keys: one partition plus a k-wide sort orders
-                # the k smallest (count, row) pairs exactly; key % m is
-                # the row.
-                keys *= m
-                keys += ids
-                top = np.partition(keys, k - 1, axis=1)[:, :k]
-                top.sort(axis=1)
-                out[start:start + chunk] = top % m
+                    counts = counts[:, rows_arr]
+                out[start:start + chunk] = count_top_k(counts, k)
             if _TM.enabled:
                 _emit_probe(
                     "topk.ranked", rows=int(m), queries=int(q.shape[0]), k=k

@@ -34,7 +34,6 @@ __all__ = [
     "pack_level_planes",
     "pack_query_masks",
     "packed_mismatch_counts",
-    "packed_pair_counts",
     "packed_stage_bytes",
     "packed_xor_counts",
     "popcount",
@@ -233,8 +232,7 @@ def packed_mismatch_counts(
     Args:
         planes: uint8 bit-planes, shape ``(L, M, B)``
             (:func:`pack_level_planes`); byte slices ``[:, :, a:b]``
-            with word-aligned bounds are accepted, which is what the
-            pruned top-k cascade feeds it.
+            with word-aligned bounds are accepted.
         masks: uint8 query masks, shape ``(Q, L, B)`` with the same
             byte width.
 
@@ -342,51 +340,3 @@ def packed_xor_counts(
         return total.astype(np.int64).T
     return pops.sum(axis=0, dtype=np.int64).T
 
-
-def packed_pair_counts(
-    planes: np.ndarray,
-    masks: np.ndarray,
-    query_idx: np.ndarray,
-    row_idx: np.ndarray,
-) -> np.ndarray:
-    """Mismatch counts of explicit ``(query, row)`` pairs.
-
-    The refinement kernel of the pruned top-k cascade: instead of the
-    full ``(Q, M)`` cross product, only the surviving pairs are counted
-    -- ``counts[p] = sum_l popcount(masks[query_idx[p], l] &
-    planes[l, row_idx[p]])``.  Callers typically pass word-aligned byte
-    slices (the stage *suffix* not covered by the pruning prefix).
-
-    Args:
-        planes: uint8 bit-planes, shape ``(L, M, B)``.
-        masks: uint8 query masks, shape ``(Q, L, B)``.
-        query_idx: Query of each pair, shape ``(P,)``.
-        row_idx: Row of each pair, shape ``(P,)``.
-
-    Returns:
-        int64 counts, shape ``(P,)``.
-    """
-    if planes.ndim != 3 or masks.ndim != 3:
-        raise ValueError(
-            f"expected (L, M, B) planes and (Q, L, B) masks, got "
-            f"{planes.shape} and {masks.shape}"
-        )
-    if planes.shape[0] != masks.shape[1] or planes.shape[2] != masks.shape[2]:
-        raise ValueError(
-            f"planes {planes.shape} and masks {masks.shape} disagree on "
-            f"levels or byte width"
-        )
-    n_pairs = np.asarray(query_idx).shape[0]
-    if masks.shape[2] == 0 or n_pairs == 0:
-        return np.zeros(n_pairs, dtype=np.int64)
-    # (P, L, B/W) operand pair; gather keeps the transient at the
-    # survivor count, not the full cross product.
-    p = planes.transpose(1, 0, 2)[row_idx]
-    m = masks[query_idx]
-    if _use_native:
-        p = _as_words(p)
-        m = _as_words(m)
-    else:
-        p = np.ascontiguousarray(p)
-        m = np.ascontiguousarray(m)
-    return popcount(m & p).sum(axis=(1, 2), dtype=np.int64)

@@ -5,12 +5,12 @@ winner resolution does: smallest decoded distance first, delay breaking
 ties, then the lowest row index.  This module is the single home of
 that ordering (:func:`top_k_indices`), previously copied across
 ``SearchResult.top_k``, ``BatchSearchResult.top_k``, and the serving
-layer, plus the two building blocks of the **pruned top-k cascade**:
+layer, plus two specialised selections:
 
-- :func:`prune_survivors` -- given mismatch counts over a stage
-  *prefix*, keep only the rows whose lower-bound final count can still
-  enter the top-k (the bound keeps every tie, so refinement over the
-  survivors is exact);
+- :func:`count_top_k` -- rank integer counts with the index breaking
+  ties through distinct ``count * M + index`` keys: one partition plus
+  a k-wide sort (the count-ranked top-k of the array, the HDC mapping
+  and the index router);
 - :func:`grouped_top_k` -- rank flattened ``(query, row)`` candidate
   pairs per query and take the first ``k`` of each group, fully
   vectorized.
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["grouped_top_k", "prune_survivors", "top_k_indices"]
+__all__ = ["count_top_k", "grouped_top_k", "top_k_indices"]
 
 
 def _top_k_1d(
@@ -105,43 +105,28 @@ def top_k_indices(
     return out
 
 
-def prune_survivors(
-    prefix_counts: np.ndarray, k: int, remaining_stages: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Candidate ``(query, row)`` pairs that can still enter the top-k.
+def count_top_k(counts: np.ndarray, k: int) -> np.ndarray:
+    """Per-row indices of the ``k`` smallest counts, shape (Q, k).
 
-    Given mismatch counts over a stage *prefix*, a row's final count is
-    bounded by ``prefix <= final <= prefix + remaining_stages``.  The
-    k-th smallest upper bound is ``(k-th smallest prefix) +
-    remaining_stages``; any row whose lower bound exceeds it final-counts
-    strictly above at least ``k`` rows and can never enter the top-k --
-    even under full ties, since a strictly larger count also means a
-    strictly larger delay.  The bound keeps ties, so the surviving set
-    always contains the true top-k (and at least ``k`` rows per query).
+    Ranks by count with the lower index breaking ties -- the
+    :func:`top_k_indices` order of an integer matrix without delays.
+    The ``count * M + index`` keys are distinct, so one partition plus
+    a k-wide sort orders the winners exactly.
 
     Args:
-        prefix_counts: int mismatch counts over the prefix, shape (Q, M).
-        k: Top-k size, ``1 <= k <= M``.
-        remaining_stages: Stages not covered by the prefix (``>= 0``);
-            ``0`` makes the bound exact.
-
-    Returns:
-        ``(query_idx, row_idx)`` int64 arrays of the surviving pairs,
-        grouped by query in ascending row order.
+        counts: Non-negative integer counts, shape (Q, M).
+        k: Indices to return per row, ``1 <= k <= M``.
     """
-    prefix_counts = np.asarray(prefix_counts)
-    if not 1 <= k <= prefix_counts.shape[1]:
-        raise ValueError(
-            f"k must be in [1, {prefix_counts.shape[1]}], got {k}"
-        )
-    if remaining_stages < 0:
-        raise ValueError(
-            f"remaining_stages must be >= 0, got {remaining_stages}"
-        )
-    kth_prefix = np.partition(prefix_counts, k - 1, axis=1)[:, k - 1]
-    keep = prefix_counts <= (kth_prefix + remaining_stages)[:, None]
-    query_idx, row_idx = np.nonzero(keep)
-    return query_idx.astype(np.int64), row_idx.astype(np.int64)
+    m = counts.shape[1]
+    if not 1 <= k <= m:
+        raise ValueError(f"k must be in [1, {m}], got {k}")
+    keys = np.multiply(counts, m, dtype=np.int64)
+    keys += np.arange(m)
+    if k < m:
+        keys.partition(k - 1, axis=1)
+        keys = keys[:, :k]
+    keys.sort(axis=1)
+    return keys % m
 
 
 def grouped_top_k(
@@ -155,18 +140,16 @@ def grouped_top_k(
 ) -> np.ndarray:
     """Per-query top-k rows from flattened candidate pairs.
 
-    The refinement step of the pruned cascade -- and the scatter/gather
-    merge of the partitioned service: candidates arrive as parallel
-    ``(query_idx, row_idx)`` arrays with their exact ranking keys.
-    Ranking per query follows the shared rule -- ``primary``, then
-    ``secondary`` when given, then ``row_idx``.
+    The scatter/gather merge of the partitioned service: candidates
+    arrive as parallel ``(query_idx, row_idx)`` arrays with their exact
+    ranking keys.  Ranking per query follows the shared rule --
+    ``primary``, then ``secondary`` when given, then ``row_idx``.
 
-    By default each query must hold at least ``k`` candidates (which
-    :func:`prune_survivors` guarantees).  A partitioned corpus serving
-    with partitions skipped cannot guarantee that: passing ``pad``
-    allows short (even empty) groups and fills the tail of their output
-    rows with the pad value instead of raising -- the honest "fewer than
-    k rows were reachable" answer.
+    By default each query must hold at least ``k`` candidates.  A
+    partitioned corpus serving with partitions skipped cannot guarantee
+    that: passing ``pad`` allows short (even empty) groups and fills the
+    tail of their output rows with the pad value instead of raising --
+    the honest "fewer than k rows were reachable" answer.
 
     Args:
         query_idx: Query of each candidate pair (ascending), shape (P,).

@@ -32,12 +32,11 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
 )
 from repro.core.config import TDAMConfig
 from repro.core.energy import TimingEnergyModel
 from repro.core.mvm import E_READOUT, T_READOUT_PER_CLASS, T_TDC_CONVERSION
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import count_top_k
 from repro.devices.variation import VariationModel
 from repro.hdc.quantize import QuantizedModel
 
@@ -222,41 +221,11 @@ class TDAMInference:
 
         Ordered by mismatch count with the class index breaking ties --
         identical to ranking :meth:`mismatch_counts` directly (an
-        exactness suite asserts it).  Without variation the pruned
-        cascade serves it: counts over the first half of the packed
-        dimensions lower-bound each class's final count, classes that
-        cannot enter the top-k are pruned, and only survivors are
-        refined over the remaining dimensions.
+        exactness suite asserts it).  Count-ranked: the k smallest
+        ``count * n_classes + class`` keys per query, with or without
+        variation.
         """
-        q = self._validate_queries(query_levels)
-        n_classes = self.model.n_classes
-        if not 1 <= k <= n_classes:
-            raise ValueError(f"k must be in [1, {n_classes}], got {k}")
-        if self._off_a is not None:
-            return top_k_indices(self.mismatch_counts(q, chunk=chunk), k)
-        chunk = self._resolve_chunk(chunk)
-        planes = self._packed_planes()
-        b_pad = planes.shape[2]
-        pb = 8 * max(1, (b_pad // 8) // 2)
-        rem = max(0, self.model.dimension - pb * 8)
-        levels = self.config.levels
-        out = np.empty((q.shape[0], k), dtype=np.int64)
-        for start in range(0, q.shape[0], chunk):
-            block = q[start:start + chunk]
-            masks = pack_query_masks(block, levels)
-            prefix = packed_mismatch_counts(
-                planes[:, :, :pb], masks[:, :, :pb]
-            )
-            q_idx, r_idx = prune_survivors(prefix, k, rem)
-            totals = prefix[q_idx, r_idx]
-            if rem:
-                totals = totals + packed_pair_counts(
-                    planes[:, :, pb:], masks[:, :, pb:], q_idx, r_idx
-                )
-            out[start:start + chunk] = grouped_top_k(
-                q_idx, r_idx, totals, k, block.shape[0]
-            )
-        return out
+        return count_top_k(self.mismatch_counts(query_levels, chunk=chunk), k)
 
     def predict(self, query_levels: np.ndarray) -> np.ndarray:
         """Predicted class per query: the row with the fewest mismatches."""

@@ -5,8 +5,8 @@ The scale-out layer above the single in-RAM array:
 (crash-safe atomic publish, lazy memmapped shards, checksummed
 components), and :class:`ClusteredTDAMIndex` routes each query batch
 through a coarse quantizer to its ``nprobe`` nearest clusters, running
-the exact prefix-count -> prune -> refine cascade inside only those
-shards.  :class:`IndexSearchService` adapts the index to the serving
+one exact count-ranked pass -- popcount mismatch counts ranked as
+(distance, delay, row) keys -- inside only those shards.  :class:`IndexSearchService` adapts the index to the serving
 layer's backend contract (deadlines, typed admission, coalescing
 frontend compatibility).
 """

@@ -4,11 +4,12 @@
 :class:`BitPlaneStore`; ``search`` reopens it in a *fresh process* and
 probes it, reporting queries/s, recall@k against the exhaustive
 (``nprobe = n_clusters``) answer -- bit-identical to in-RAM exhaustive
-search, see ``tests/index/`` -- and the process's peak RSS.  The CI
-smoke job drives both and turns ``--min-recall`` / ``--max-rss-mb``
-violations into non-zero exits: the store must serve a 10^5-row corpus
-correctly while staying far below what the in-RAM pipeline would
-resident-set.
+search, see ``tests/index/`` -- and the process's peak RSS.  It also
+probes every query alone and exits non-zero if any answer differs from
+the batched one.  The CI smoke job drives both and turns
+``--min-recall`` / ``--max-rss-mb`` violations into non-zero exits: the
+store must serve a 10^5-row corpus correctly while staying far below
+what the in-RAM pipeline would resident-set.
 """
 
 from __future__ import annotations
@@ -118,6 +119,19 @@ def run_index_search(args: argparse.Namespace) -> int:
     if not np.array_equal(repeat.rows, result.rows):
         _emit("FAIL: repeated probes disagree (non-deterministic index)")
         return 1
+    # A query's answer must not depend on the rest of its batch.
+    for i in range(args.queries):
+        alone = index.top_k(queries[i:i + 1], args.k, nprobe=args.nprobe)
+        if not (
+            np.array_equal(alone.rows[0], result.rows[i])
+            and np.array_equal(alone.distances[0], result.distances[i])
+            and np.array_equal(alone.delays_s[0], result.delays_s[i])
+        ):
+            _emit(
+                f"FAIL: query {i} probed alone disagrees with its "
+                f"batched answer"
+            )
+            return 1
     qps = args.queries / best_s
     # Ground truth: the full-probe answer, proven bit-identical to
     # exhaustive in-RAM top_k_batch (tests/index/, the ann bench gate).

@@ -1,22 +1,22 @@
 """Cluster-routed approximate top-k over a memmapped bit-plane store.
 
 The scale-out shape of Kazemi et al. (arXiv 2011.07095): a coarse
-quantizer routes each query to its ``nprobe`` nearest clusters, and an
-exact prefix-count -> prune -> refine cascade then runs *inside only
-those shards*,
-directly on the store's memmapped plane slices.  Survivors get exact
-Hamming re-ranking under the shared (distance, delay, row) ordering and
-a :func:`grouped_top_k` gather merges the shards.
+quantizer routes each query to its ``nprobe`` nearest clusters, and one
+**count-ranked pass** runs *inside only those shards*, directly on the
+store's memmapped plane slabs: popcount mismatch counts become
+(distance, delay, row) keys, each shard keeps its ``k`` smallest in a
+``(Q, nprobe, k)`` candidate grid, and one partition plus a k-wide sort
+picks every query's winners.  Only the winners are decoded.
 
 Exactness ladder:
 
-- **Within probed shards the cascade is exact** -- the same prefix
-  lower-bound, the same refinement popcounts, the same delay-law
-  floats, the same TDC decode as the in-RAM array.
+- **Within probed shards the ranking is exact** -- the keys order
+  exactly like (distance, delay, row), with the same delay-law floats
+  and TDC decode as the in-RAM array, monotone ladder or not.
 - **With ``nprobe = n_clusters`` the result is bit-identical to
-  exhaustive ``top_k_batch``**: every global top-k row survives its own
-  shard's local pruning (it is within that shard's top-k a fortiori),
-  and identical per-pair keys make the global merge order identical.
+  exhaustive ``top_k_batch``**: every global top-k row is among its own
+  shard's ``k`` smallest keys, and distinct keys make the merged order
+  the global order.
 - **With ``nprobe < n_clusters`` recall is tunable**: only rows in
   unprobed clusters can be missed, so recall@k vs. queries/s is set by
   the corpus's cluster structure and ``nprobe`` (measured by the
@@ -30,18 +30,19 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core import bitplane as _bitplane
 from repro.core.array import resolve_query_chunk
 from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
+    popcount,
 )
 from repro.core.config import TDAMConfig
 from repro.core.encoding import validate_levels
 from repro.core.energy import TimingEnergyModel
 from repro.core.sensing import CounterTDC
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import count_top_k
 from repro.hdc.cluster import HDCluster
 from repro.index.store import (
     BitPlaneStore,
@@ -71,7 +72,7 @@ _QUERIES = _REG.counter(
 )
 _ROWS_PROBED = _REG.counter(
     "index_rows_probed_total",
-    "Rows scanned by the prefix counter across all probes",
+    "Rows mismatch-counted across all probes",
 )
 _PROBE_FRACTION = _REG.histogram(
     "index_probe_fraction",
@@ -92,7 +93,7 @@ class IndexTopKResult:
         delays_s: Modeled chain delays of ``rows`` (``inf`` on pads).
         clusters: Probed cluster ids per query, shape (Q, nprobe).
         nprobe: Clusters probed per query.
-        rows_probed: Rows prefix-scanned across the whole batch
+        rows_probed: Rows mismatch-counted across the whole batch
             (query-weighted: a shard probed by two queries counts its
             rows twice).
         rows_total: Corpus size, for probe-fraction accounting.
@@ -138,6 +139,25 @@ class ClusteredTDAMIndex:
         self.tdc = CounterTDC(self.config, timing)
         self._base_delay = 2 * self.config.n_stages * timing.d_inv
         self._d_c = timing.d_c
+        self._count_dtype = np.min_scalar_type(self.config.n_stages)
+        # The (N + 1)-entry count ladder, decoded once.  Dense ranks of
+        # its (distance, delay) pairs make ``rank * (n_rows + 1) + row``
+        # keys order exactly like (distance, delay, row), monotone
+        # ladder or not; a rank's pair decodes its winners.  Row
+        # ``n_rows`` of one rank past the last is the pad key.
+        counts = np.arange(self.config.n_stages + 1, dtype=np.int64)
+        delays = self._base_delay + counts * self._d_c
+        pairs, rank = np.unique(
+            np.column_stack((self.tdc.decode_array(delays), delays)),
+            axis=0,
+            return_inverse=True,
+        )
+        self._stride = store.n_rows + 1
+        self._rank_key = rank.reshape(-1) * self._stride
+        self._pad_key = pairs.shape[0] * self._stride + store.n_rows
+        self._rank_distance = np.append(pairs[:, 0], -1).astype(np.int64)
+        self._rank_delay = np.append(pairs[:, 1], np.inf)
+        self._slabs: dict = {}
         ladder = np.arange(self.config.levels, dtype=np.int64)[:, None, None]
         self._centroid_planes = pack_level_planes(
             ladder != cents[None, :, :]
@@ -280,7 +300,7 @@ class ClusteredTDAMIndex:
 
     def _route_masks(self, masks: np.ndarray, nprobe: int) -> np.ndarray:
         counts = packed_mismatch_counts(self._centroid_planes, masks)
-        clusters = top_k_indices(counts, nprobe)
+        clusters = count_top_k(counts, nprobe)
         if _TM.enabled:
             _emit_probe(
                 "index.route",
@@ -289,6 +309,28 @@ class ClusteredTDAMIndex:
                 clusters=int(np.unique(clusters).shape[0]),
             )
         return clusters
+
+    def _shard_slabs(self, s: int, word: type) -> tuple:
+        """Shard ``s``'s ``(level, word)`` slabs, row ids and query chunk.
+
+        The slabs are a plain-ndarray ``(L, W, M_s)`` view of the
+        memmapped planes in the popcount kernel's ``word`` dtype -- no
+        copy, so the store stays out-of-core -- cached on first touch.
+        """
+        cached = self._slabs.get((s, word))
+        if cached is None:
+            shard = self.store.shard(s)
+            planes = np.asarray(shard.planes)
+            cached = self._slabs[(s, word)] = (
+                planes.view(word).transpose(0, 2, 1),
+                np.asarray(shard.row_ids),
+                resolve_query_chunk(
+                    shard.n_rows,
+                    self.config.n_stages,
+                    working_set_bytes=int(planes.nbytes),
+                ),
+            )
+        return cached
 
     def top_k(
         self,
@@ -314,72 +356,56 @@ class ClusteredTDAMIndex:
         n_q = q.shape[0]
         masks = pack_query_masks(q, self.config.levels)
         clusters = self._route_masks(masks, nprobe)
-        # Invert routing into shard -> queries (a query probes a shard
-        # at most once: routed clusters are distinct).
-        flat_q = np.repeat(np.arange(n_q, dtype=np.int64), nprobe)
-        flat_s = self._shard_of[clusters.ravel()]
-        keep = flat_s >= 0
-        flat_q, flat_s = flat_q[keep], flat_s[keep]
-        order = np.argsort(flat_s, kind="stable")
-        flat_q, flat_s = flat_q[order], flat_s[order]
-        bounds = np.searchsorted(
-            flat_s, np.arange(self.store.n_shards + 1)
-        )
-        cand_q: list = []
-        cand_r: list = []
-        cand_t: list = []
-        rows_probed = 0
-        n = self.config.n_stages
-        b_pad = self.store.byte_width
-        # Prefix = the first half of the padded words; one-word planes
-        # are covered whole.
-        pb = 8 * max(1, (b_pad // 8) // 2)
-        rem = max(0, n - pb * 8)
-        for s in range(self.store.n_shards):
-            qs = flat_q[bounds[s]:bounds[s + 1]]
-            if qs.shape[0] == 0:
-                continue
-            shard = self.store.shard(s)
-            planes = shard.planes
-            ms = shard.n_rows
-            rows_probed += ms * qs.shape[0]
+        word = np.uint64 if _bitplane._use_native else np.uint8
+        words = masks.view(word)
+        # Invert routing once: flat (query, probe slot) positions grouped
+        # by shard, visiting only the probed shards (a query probes a
+        # shard at most once: routed clusters are distinct).
+        shard_of = self._shard_of[clusters].ravel()
+        flat = np.flatnonzero(shard_of >= 0)
+        flat = flat[np.argsort(shard_of[flat], kind="stable")]
+        shards, starts = np.unique(shard_of[flat], return_index=True)
+        bounds = np.append(starts, flat.shape[0])
+        grid = np.full((n_q, nprobe, k), self._pad_key, dtype=np.int64)
+        rows_probed = candidates = 0
+        for s, lo, hi in zip(shards.tolist(), bounds[:-1], bounds[1:]):
+            slabs, row_ids, chunk = self._shard_slabs(s, word)
+            pairs = flat[lo:hi]
+            ms = row_ids.shape[0]
             kk = min(k, ms)
-            chunk = resolve_query_chunk(
-                ms, n, working_set_bytes=int(planes.nbytes)
-            )
-            for start in range(0, qs.shape[0], chunk):
-                block = qs[start:start + chunk]
-                bmasks = masks[block]
-                prefix = packed_mismatch_counts(
-                    planes[:, :, :pb], bmasks[:, :, :pb]
+            rows_probed += ms * pairs.shape[0]
+            candidates += kk * pairs.shape[0]
+            for start in range(0, pairs.shape[0], chunk):
+                qb, slot = np.divmod(pairs[start:start + chunk], nprobe)
+                # One AND per (level, word) slab; a query's level masks
+                # are disjoint, so an OR-fold over levels and a popcount
+                # per word count each mismatching stage once.
+                hits = slabs[:, :, None, :] & words[qb].transpose(1, 2, 0)[
+                    :, :, :, None
+                ]
+                counts = popcount(np.bitwise_or.reduce(hits, axis=0))
+                counts = (
+                    counts[0] if counts.shape[0] == 1
+                    else counts.sum(axis=0, dtype=self._count_dtype)
                 )
-                q_idx, r_idx = prune_survivors(prefix, kk, rem)
-                totals = prefix[q_idx, r_idx]
-                if rem:
-                    totals = totals + packed_pair_counts(
-                        planes[:, :, pb:], bmasks[:, :, pb:], q_idx, r_idx
-                    )
-                cand_q.append(block[q_idx])
-                cand_r.append(np.asarray(shard.row_ids)[r_idx])
-                cand_t.append(totals)
-        q_all = np.concatenate(cand_q) if cand_q else np.empty(0, np.int64)
-        r_all = np.concatenate(cand_r) if cand_r else np.empty(0, np.int64)
-        t_all = np.concatenate(cand_t) if cand_t else np.empty(0, np.int64)
-        # Exact re-ranking keys: the same delay-law floats and TDC
-        # decode as the exhaustive path, so the merged order is the
-        # array's order.
-        delays = self._base_delay + t_all * self._d_c
-        distances = self.tdc.decode_array(delays)
-        rows = grouped_top_k(
-            q_all, r_all, distances, k, n_q, secondary=delays, pad=-1
-        )
-        dist_out, delay_out = self._gather_keys(
-            q_all, r_all, distances, delays, rows
-        )
+                keys = self._rank_key.take(counts)
+                keys += row_ids
+                if kk < ms:
+                    keys.partition(kk - 1, axis=1)
+                    keys = keys[:, :kk]
+                grid[qb, slot, :kk] = keys
+        # Keys are distinct, so one partition plus a k-wide sort orders
+        # each query's k smallest (distance, delay, row) exactly.
+        top = grid.reshape(n_q, nprobe * k)
+        if nprobe > 1:
+            top = np.partition(top, k - 1, axis=1)[:, :k]
+        top.sort(axis=1)
+        rank, rows = np.divmod(top, self._stride)
+        rows[rows == self.n_rows] = -1
         result = IndexTopKResult(
             rows=rows,
-            distances=dist_out,
-            delays_s=delay_out,
+            distances=self._rank_distance[rank],
+            delays_s=self._rank_delay[rank],
             clusters=clusters,
             nprobe=nprobe,
             rows_probed=rows_probed,
@@ -397,42 +423,9 @@ class ClusteredTDAMIndex:
                 nprobe=int(nprobe),
                 rows_probed=int(rows_probed),
                 rows_total=int(self.n_rows),
-                candidates=int(q_all.shape[0]),
+                candidates=int(candidates),
             )
         return result
-
-    def _gather_keys(
-        self,
-        q_all: np.ndarray,
-        r_all: np.ndarray,
-        distances: np.ndarray,
-        delays: np.ndarray,
-        rows: np.ndarray,
-    ) -> tuple:
-        """Distances/delays of the selected rows, via a sorted lookup.
-
-        ``(query, row)`` candidate pairs are unique -- a row lives in
-        exactly one shard and a query probes each shard at most once --
-        so a lexicographic searchsorted recovers each selection's keys.
-        """
-        n_q, k = rows.shape
-        dist_out = np.full((n_q, k), -1, dtype=np.int64)
-        delay_out = np.full((n_q, k), np.inf, dtype=np.float64)
-        if q_all.shape[0] == 0:
-            return dist_out, delay_out
-        stride = self.n_rows + 1
-        key_all = q_all * stride + r_all
-        sorter = np.argsort(key_all)
-        sorted_keys = key_all[sorter]
-        valid = rows >= 0
-        q_grid = np.broadcast_to(
-            np.arange(n_q, dtype=np.int64)[:, None], rows.shape
-        )
-        wanted = q_grid[valid] * stride + rows[valid]
-        pos = sorter[np.searchsorted(sorted_keys, wanted)]
-        dist_out[valid] = distances[pos]
-        delay_out[valid] = delays[pos]
-        return dist_out, delay_out
 
     def __repr__(self) -> str:
         return (

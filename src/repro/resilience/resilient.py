@@ -177,13 +177,16 @@ class ResilientBatchSearchResult:
     def top_k(self, k: int) -> np.ndarray:
         """Per-query top-k *logical* row indices, shape (Q, k).
 
-        The shared (distance, delay, row) ordering rule; retired rows
-        carry the maximum distance and the timeout delay, so they rank
-        strictly after every live row.
+        The shared (distance, delay, row) ordering rule.  Retired rows
+        carry the maximum distance and the timeout delay, which a live
+        row can tie; they rank with an infinite delay, so strictly after
+        every live row.
         """
-        return top_k_indices(
-            self.hamming_distances, k, delays_s=self.delays_s
-        )
+        delays = self.delays_s
+        if self.retired_rows:
+            delays = delays.copy()
+            delays[:, list(self.retired_rows)] = np.inf
+        return top_k_indices(self.hamming_distances, k, delays_s=delays)
 
     def result(self, i: int) -> ResilientSearchResult:
         """The single-query :class:`ResilientSearchResult` of query ``i``."""

@@ -129,7 +129,8 @@ PROBE_EVENTS: Dict[str, str] = {
     ),
     "index.probe": (
         "clustered-index probe served: queries, k, nprobe, rows_probed, "
-        "rows_total, candidates (pairs surviving the prune)"
+        "rows_total, candidates (keys kept in the candidate grid: "
+        "min(k, shard rows) per probed (query, shard) pair)"
     ),
     "net.frame": (
         "one wire frame processed: direction in {in, out}, type "

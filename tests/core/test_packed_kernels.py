@@ -20,7 +20,6 @@ from repro.core.bitplane import (
     pack_level_planes,
     pack_query_masks,
     packed_mismatch_counts,
-    packed_pair_counts,
     packed_stage_bytes,
     packed_xor_counts,
     popcount,
@@ -208,23 +207,6 @@ class TestPackedCounts:
         expected = self.naive_counts(q, stored)
         assert np.array_equal(onehot, expected)
         assert np.array_equal(xor, expected)
-
-    def test_pair_counts_match_full_cross_product(self):
-        rng = np.random.default_rng(8)
-        stored = rng.integers(0, 4, (6, 21))
-        q = rng.integers(0, 4, (5, 21))
-        ineq = np.arange(4)[:, None, None] != stored[None, :, :]
-        planes = pack_level_planes(ineq)
-        masks = pack_query_masks(q, 4)
-        full = packed_mismatch_counts(planes, masks)
-        q_idx = np.array([0, 0, 2, 4])
-        r_idx = np.array([1, 5, 0, 3])
-        pairs = packed_pair_counts(planes, masks, q_idx, r_idx)
-        assert np.array_equal(pairs, full[q_idx, r_idx])
-        empty = packed_pair_counts(
-            planes, masks, np.empty(0, np.int64), np.empty(0, np.int64)
-        )
-        assert empty.shape == (0,)
 
     def test_shape_validation(self):
         planes = np.zeros((4, 2, 8), dtype=np.uint8)

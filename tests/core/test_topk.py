@@ -6,7 +6,8 @@ ranking rule, so its fast path must be bit-identical to a plain lexsort;
 ``search_batch(queries).top_k(k)`` whether the count-ranked path or the
 exhaustive fallback serves it.  These tests pin both contracts,
 including the tie-heavy inputs where a sloppy tie-break would differ.
-The prune/group helpers serve the clustered index's cascade.
+``count_top_k`` is the (count, index) selection behind the count-ranked
+paths; ``grouped_top_k`` serves the partitioned gather.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.array import FastTDAMArray
 from repro.core.config import TDAMConfig
-from repro.core.topk import grouped_top_k, prune_survivors, top_k_indices
+from repro.core.topk import count_top_k, grouped_top_k, top_k_indices
 from repro.devices.variation import VariationModel
 
 
@@ -80,37 +81,26 @@ class TestTopKIndices:
             top_k_indices(np.zeros((2, 2, 2)), 1)
 
 
-class TestPruneSurvivors:
-    def test_bound_keeps_every_possible_winner(self):
-        # Brute force: for every completion of the prefix within
-        # [prefix, prefix + rem], the true top-k must be a subset of
-        # the surviving rows.
+class TestCountTopK:
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_matches_the_lexsort_rule_on_tie_heavy_counts(self, k):
         rng = np.random.default_rng(11)
-        prefix = rng.integers(0, 10, (4, 8))
-        rem = 3
-        q_idx, r_idx = prune_survivors(prefix, 2, rem)
-        for q in range(4):
-            kept = set(r_idx[q_idx == q])
-            assert len(kept) >= 2
-            # A pruned row's lower bound strictly exceeds k rows' upper
-            # bounds, so it can never reach (or even tie) the top-k.
-            for trial in range(50):
-                final = prefix[q] + rng.integers(0, rem + 1, 8)
-                top = set(np.argsort(final, kind="stable")[:2])
-                assert top <= kept
+        for dtype in (np.uint8, np.int64):
+            counts = rng.integers(0, 4, (6, 9)).astype(dtype)
+            got = count_top_k(counts, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive_top_k(counts, k))
+            assert np.array_equal(got, top_k_indices(counts, k))
 
-    def test_zero_remaining_is_exact(self):
-        prefix = np.array([[5, 1, 3, 1, 9]])
-        q_idx, r_idx = prune_survivors(prefix, 2, 0)
-        # Only rows tying or beating the 2nd smallest count survive.
-        assert np.array_equal(r_idx, [1, 3])
+    def test_does_not_modify_its_input(self):
+        counts = np.array([[5, 1, 3, 1, 9]])
+        before = counts.copy()
+        assert count_top_k(counts, 2).tolist() == [[1, 3]]
+        assert np.array_equal(counts, before)
 
     def test_validation(self):
-        prefix = np.zeros((1, 3), dtype=int)
         with pytest.raises(ValueError, match="k must be in"):
-            prune_survivors(prefix, 4, 1)
-        with pytest.raises(ValueError, match="remaining_stages"):
-            prune_survivors(prefix, 1, -1)
+            count_top_k(np.zeros((1, 3), dtype=int), 4)
 
 
 class TestGroupedTopK:

@@ -27,8 +27,8 @@ class TestExactness:
     def test_full_probe_is_bit_identical_to_exhaustive(
         self, tmp_path, rng, n_stages
     ):
-        # n_stages=160 spills past the 8-byte prefix window, exercising
-        # the suffix-refine (packed_pair_counts) leg of the cascade.
+        # n_stages=160 packs into three 64-bit words per plane, so the
+        # probe sums per-word popcounts.
         config = TDAMConfig(n_stages=n_stages)
         rows = rng.integers(0, config.levels, size=(300, n_stages))
         queries = rng.integers(0, config.levels, size=(17, n_stages))

@@ -174,6 +174,25 @@ class TestResilientBatchPath:
         assert list(batch.best_rows) == [1, 1]
         assert batch.result(0).best_row == array.search(queries[0]).best_row
 
+    def test_retired_row_ranks_last_at_a_full_timeout_tie(self):
+        config = TDAMConfig(n_stages=8)
+        array = ResilientTDAMArray(
+            config, 4, n_spares=0, faults=[Fault(FaultType.DEAD_ROW, row=0)]
+        )
+        array.write_all(np.zeros((4, 8), dtype=np.int64))
+        array.self_test_and_repair()
+        queries = np.full((2, 8), config.levels - 1)
+        batch = array.search_batch(queries)
+        # The tie is real: live rows read the retired row's distance and
+        # delay, so only the retirement can order them.
+        assert np.all(batch.hamming_distances == 8)
+        assert np.all(batch.delays_s == batch.delays_s[0, 0])
+        assert batch.top_k(4).tolist() == [[1, 2, 3, 0]] * 2
+        assert batch.top_k(3).tolist() == [[1, 2, 3]] * 2
+        top = array.top_k_batch(queries, 4)
+        assert top.degraded and not top.pruned
+        assert top.rows.tolist() == [[1, 2, 3, 0]] * 2
+
 
 class TestRankedTopK:
     @given(data=st.data())
