@@ -249,7 +249,7 @@ def packed_mismatch_counts(
             f"planes {planes.shape} and masks {masks.shape} disagree on "
             f"levels or byte width"
         )
-    if masks.shape[2] == 0:
+    if masks.shape[0] == 0 or masks.shape[2] == 0:
         return np.zeros(
             (masks.shape[0], planes.shape[1]), dtype=np.int64
         )

@@ -116,7 +116,7 @@ class DelayChain:
             )
         for stage, value in zip(self.stages, values):
             stage.write(int(value))
-        self._stored = values
+        self._stored = values.copy()
 
     @property
     def stored(self) -> Optional[np.ndarray]:

@@ -30,7 +30,7 @@ def validate_levels(
     ndim: int = 1,
     name: str = "vector",
 ) -> np.ndarray:
-    """Validate an array of stored/query levels; never clips silently.
+    """Validate stored/query levels; never clips, never copies int64 input.
 
     The one shared admission check of every level-carrying input
     (queries, stored vectors, whole matrices): wrong dimensionality,
@@ -45,7 +45,9 @@ def validate_levels(
         name: What to call the input in error messages.
 
     Returns:
-        The validated values as an ``int64`` array.
+        The validated values as an ``int64`` array -- the input itself
+        (no copy) when it already is one, so a caller that keeps the
+        result beyond the call must copy it.
     """
     arr = np.asarray(values)
     if arr.ndim != ndim:
@@ -66,7 +68,7 @@ def validate_levels(
             f"{name} elements must be in [0, {levels - 1}], "
             f"got range [{arr.min()}, {arr.max()}]"
         )
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

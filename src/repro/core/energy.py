@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -127,9 +128,9 @@ class TimingEnergyModel:
         ) * self.config.tech.c_gate_min_ff * 1e-15
         return self.config.c_stage_par_f + c_gate_next
 
-    @property
+    @cached_property
     def d_inv(self) -> float:
-        """Intrinsic stage delay (s): match-case propagation."""
+        """Intrinsic stage delay (s), evaluated once (the config is frozen)."""
         if self._d_inv is not None:
             return self._d_inv
         return _RC_TO_50PCT * self.r_inv * self.c_stage
@@ -151,9 +152,9 @@ class TimingEnergyModel:
         vdd = self.config.vdd
         return max(vdd - abs(self.config.tech.vth_p), 0.05 * vdd)
 
-    @property
+    @cached_property
     def d_c(self) -> float:
-        """Additional delay of a mismatched stage (s)."""
+        """Additional delay of a mismatched stage (s), evaluated once."""
         if self._d_c is not None:
             return self._d_c
         return (

@@ -329,9 +329,11 @@ class MVMPlan:
             raise TypeError(
                 f"activations must be integers, got dtype {acts.dtype}"
             )
-        inf_bits, inf_signed = infer_operand_bits(acts)
-        a_bits = inf_bits if bits is None else int(bits)
-        a_signed = inf_signed if signed is None else bool(signed)
+        if bits is None or signed is None:
+            inf_bits, inf_signed = infer_operand_bits(acts)
+            bits = inf_bits if bits is None else bits
+            signed = inf_signed if signed is None else signed
+        a_bits, a_signed = int(bits), bool(signed)
         _validate_operand(acts, a_bits, a_signed, "activation")
         if acts.shape[0] == 0:
             return np.zeros((0, self.n_out), dtype=np.int64)

@@ -61,16 +61,28 @@ class QuantizedModel:
         """Quantize query hypervectors with the model's bin edges.
 
         Queries are L2-normalized per row first, matching the prototype
-        normalization applied when the edges were fitted.
+        normalization applied when the edges were fitted.  A normalized
+        value's level is the number of edges it is ``>=`` to: one
+        vectorized comparison per edge, equal to ``np.digitize(q,
+        edges)`` (``right=False``) for every finite value, including one
+        lying exactly on an edge.
+
+        Raises:
+            ValueError: The query dimension differs from the model's, or
+                a value is NaN or infinite (it has no level).
         """
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        q = np.array(queries, dtype=np.float64, ndmin=2)
         if q.shape[1] != self.dimension:
             raise ValueError(
                 f"query dimension {q.shape[1]} != model dimension {self.dimension}"
             )
-        norms = np.linalg.norm(q, axis=1, keepdims=True)
-        q = q / np.maximum(norms, 1e-12)
-        return np.digitize(q, self.edges).astype(np.int64)
+        if not np.isfinite(q).all():
+            raise ValueError("queries contain NaN or Inf")
+        q /= np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
+        levels = np.zeros(q.shape, dtype=np.int64)
+        for edge in self.edges:
+            levels += q >= edge
+        return levels
 
     def reconstruct(self) -> np.ndarray:
         """Approximate float prototypes from the level centers."""

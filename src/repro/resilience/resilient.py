@@ -431,7 +431,18 @@ class ResilientTDAMArray:
     # Search path
     # ------------------------------------------------------------------
     def search(self, query: Sequence[int]) -> ResilientSearchResult:
-        """Search over the logical rows, self-testing when due."""
+        """Search over the logical rows, self-testing when due.
+
+        Served by the batched count path: the query runs as a one-query
+        :meth:`search_batch` and the answer is its ``result(0)``, so the
+        single and batched answers cannot drift apart.  The BIST
+        due-check runs first and the search counts once toward
+        ``searches_since_bist``.
+
+        Raises:
+            ValueError: The query is not 1-D, has the wrong length, or
+                carries out-of-range levels.
+        """
         if not _TM.enabled:
             return self._search_impl(query)
         with _trace.span(
@@ -451,13 +462,10 @@ class ResilientTDAMArray:
             self.self_test_and_repair()
 
     def _search_impl(self, query: Sequence[int]) -> ResilientSearchResult:
-        self._self_test_if_due()
-        self._searches_since_bist += 1
-        mism = self._backing.faulted_mismatch_matrix(query)
-        if self._masked:
-            mism[:, list(self._masked)] = False
-        raw = self._physical.result_from_mismatch_matrix(mism)
-        return self._logical_view(raw)
+        q = np.asarray(query)
+        if q.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {q.shape}")
+        return self._search_batch_impl(q[None, :]).result(0)
 
     def search_batch(
         self, queries: np.ndarray, chunk: Optional[int] = None
@@ -603,39 +611,6 @@ class ResilientTDAMArray:
             degraded=bool(retired),
             confidence=n_live / self.n_rows * stage_fraction,
             retired_rows=tuple(retired),
-            masked_stages=self._masked,
-        )
-
-    def _logical_view(self, raw) -> ResilientSearchResult:
-        n_eff = self.config.n_stages - len(self._masked)
-        timeout = self._physical.timing.chain_delay(self.config.n_stages)
-        distances = np.full(self.n_rows, n_eff, dtype=np.int64)
-        delays = np.full(self.n_rows, timeout)
-        live = [r for r in range(self.n_rows) if r not in self._retired]
-        for r in live:
-            phys = self._map[r]
-            distances[r] = min(int(raw.hamming_distances[phys]), n_eff)
-            delays[r] = raw.delays_s[phys]
-        if live:
-            order = np.lexsort(
-                (live, delays[live], distances[live])
-            )
-            best = int(live[int(order[0])])
-        else:
-            best = -1
-        live_fraction = len(live) / self.n_rows
-        stage_fraction = n_eff / self.config.n_stages
-        return ResilientSearchResult(
-            hamming_distances=distances,
-            delays_s=delays,
-            best_row=best,
-            latency_s=raw.latency_s,
-            energy_j=raw.energy_j,
-            n_stages=self.config.n_stages,
-            n_effective_stages=n_eff,
-            degraded=bool(self._retired),
-            confidence=live_fraction * stage_fraction,
-            retired_rows=tuple(sorted(self._retired)),
             masked_stages=self._masked,
         )
 

@@ -321,7 +321,9 @@ class CoalescingFrontend:
     ) -> FrontendFuture:
         with self._lock:
             self._stats.submitted += 1
-        q = self.service.validate_query(query)
+        # The request outlives this call in the queue: own its levels, so
+        # a caller reusing its buffer cannot change a queued query.
+        q = np.array(self.service.validate_query(query))
         now = self._clock()
         if deadline_at is None:
             rel = (

@@ -173,3 +173,30 @@ class TestTopK:
             result.top_k(0)
         with pytest.raises(ValueError, match="k must be"):
             result.top_k(99)
+
+
+class TestWriteOwnsItsLevels:
+    """Admission hands an int64 input back uncopied, so each array copies
+    what it keeps: reusing the caller's buffer after a write must not
+    change the stored levels."""
+
+    @pytest.mark.parametrize("kind", ["device", "fast"])
+    def test_mutating_the_input_after_a_write(self, small_config, rng, kind):
+        if kind == "device":
+            array = TDAMArray(small_config, n_rows=4, rng=rng)
+        else:
+            array = FastTDAMArray(small_config, n_rows=4)
+        matrix = STORED.astype(np.int64)
+        row = STORED[2].astype(np.int64)
+        array.write_all(matrix)
+        array.write(2, row)
+        matrix[:] = 3 - matrix
+        row[:] = 0
+        result = array.search(QUERY)
+        want = (STORED != QUERY[None, :]).sum(axis=1)
+        assert np.array_equal(result.hamming_distances, want)
+        if kind == "device":
+            stored = np.stack([chain.stored for chain in array.chains])
+        else:
+            stored = array._stored
+        assert np.array_equal(stored, STORED)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TDAMConfig
-from repro.core.encoding import LevelEncoding
+from repro.core.encoding import LevelEncoding, validate_levels
 
 
 @pytest.fixture
@@ -72,6 +72,14 @@ class TestVectorHelpers:
     def test_validate_accepts_integer_floats(self, enc):
         out = enc.validate_vector([0.0, 1.0, 3.0])
         assert out.dtype == np.int64
+
+    def test_validate_levels_copies_only_to_convert(self):
+        levels = np.array([[0, 1], [2, 3]], dtype=np.int64)
+        assert validate_levels(levels, 4, ndim=2) is levels
+        narrow = levels.astype(np.int32)
+        out = validate_levels(narrow, 4, ndim=2)
+        assert out.dtype == np.int64
+        assert not np.shares_memory(out, narrow)
 
     def test_validate_rejects_fractional(self, enc):
         with pytest.raises(ValueError, match="integers"):

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import TDAMConfig
-from repro.core.energy import TimingEnergyModel
+from repro.core.energy import (
+    _RC_TO_50PCT,
+    _VC_TRANSFER_COEFF,
+    TimingEnergyModel,
+)
 
 
 @pytest.fixture
@@ -44,6 +48,32 @@ class TestDelayLaw:
         assert model.d_inv == 5e-12
         assert model.d_c == 50e-12
 
+
+    def test_delays_evaluated_once_per_model(self, config, monkeypatch):
+        calls = []
+        for name in ("r_inv", "i_drive_n"):
+            fget = getattr(TimingEnergyModel, name).fget
+            monkeypatch.setattr(
+                TimingEnergyModel, name,
+                property(lambda self, f=fget, n=name: calls.append(n) or f(self)),
+            )
+        model = TimingEnergyModel(config)
+        d_inv, d_c = model.d_inv, model.d_c
+        for _ in range(3):
+            model.chain_delay(5)
+        assert (model.d_inv, model.d_c) == (d_inv, d_c)
+        assert calls == ["r_inv", "i_drive_n"]
+        assert d_inv == _RC_TO_50PCT * model.r_inv * model.c_stage
+        assert d_c == (
+            _VC_TRANSFER_COEFF * config.c_load_f * model.coupled_swing
+            / model.i_drive_n
+        )
+        calls.clear()
+        tuned = TimingEnergyModel(
+            config, d_inv_override=5e-12, d_c_override=50e-12
+        )
+        assert (tuned.d_inv, tuned.d_c) == (5e-12, 50e-12)
+        assert calls == []
 
 class TestScaling:
     def test_d_c_linear_in_load_cap(self, config):

@@ -1,5 +1,7 @@
 """Tests of the equal-area class-hypervector quantization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +126,77 @@ class TestProperties:
         expected = protos.size / 2**bits
         assert counts.max() < 1.25 * expected
         assert counts.min() > 0.75 * expected
+
+
+def _normalized(q):
+    """The quantizer's row normalization, as the digitize reference sees it."""
+    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    return q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
+
+
+class TestComparisonQuantizer:
+    """``quantize_queries`` counts edges with comparisons; ``np.digitize``
+    (``right=False``) on the normalized rows is its reference."""
+
+    @given(
+        bits=st.integers(1, 4),
+        method=st.sampled_from(["uniform", "equal-area"]),
+        seed=st.integers(0, 2**16),
+        on_edge=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_digitize(self, bits, method, seed, on_edge):
+        rng = np.random.default_rng(seed)
+        d = 64
+        fit = quantize_uniform if method == "uniform" else quantize_equal_area
+        qm = fit(rng.normal(size=(4, d)), bits)
+        queries = rng.normal(size=(6, d))
+        queries[1] = 0.0  # the norm floor: every value normalizes to 0
+        queries[2, ::3] = -0.0
+        queries[3] = 0.0
+        queries[3, rng.integers(d)] = -rng.random() - 0.5  # normalizes to -1.0
+        queries[4, : d // 2] = queries[4, 0]  # repeated values
+        if on_edge:
+            # Move the edges onto values the normalized queries hold
+            # exactly, so comparisons tie.
+            values = np.unique(_normalized(queries))
+            picks = np.sort(
+                rng.choice(values, size=min(len(values), len(qm.edges)),
+                           replace=False)
+            )
+            qm = replace(qm, edges=picks)
+        got = qm.quantize_queries(queries)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.digitize(_normalized(queries), qm.edges))
+        one = qm.quantize_queries(queries[0])
+        assert one.shape == (1, d)
+        assert np.array_equal(one, got[:1])
+
+    def test_signed_zero_and_exact_edge(self):
+        qm = QuantizedModel(
+            levels=np.zeros((1, 5), dtype=np.int64),
+            edges=np.array([-0.5, 0.0, 0.5]),
+            centers=np.array([-0.75, -0.25, 0.25, 0.75]),
+            bits=2,
+            method="uniform",
+        )
+        # The norm is exactly 1.0, so the values reach the edges unchanged.
+        q = np.array([-0.5, -0.0, 0.5, 0.5, 0.5])
+        got = qm.quantize_queries(q)
+        assert got.tolist() == [[1, 2, 3, 3, 3]]  # -0.0 >= 0.0
+        assert np.array_equal(got, np.digitize(_normalized(q), qm.edges))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, prototypes, bad):
+        qm = quantize_equal_area(prototypes, bits=2)
+        queries = np.zeros((2, 2000))
+        queries[1, 7] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            qm.quantize_queries(queries)
+
+    def test_input_not_modified(self, prototypes, rng):
+        qm = quantize_equal_area(prototypes, bits=2)
+        queries = rng.normal(size=(3, 2000))
+        before = queries.copy()
+        qm.quantize_queries(queries)
+        assert np.array_equal(queries, before)

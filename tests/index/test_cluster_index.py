@@ -162,3 +162,37 @@ class TestPaddingAndErrors:
             index.top_k(queries[:, :-1], 1)
         with pytest.raises(ValueError, match="n_clusters"):
             _build(tmp_path / "bad", rows, config, n_clusters=1)
+
+    def test_empty_query_batch_returns_empty_results(
+        self, tmp_path, rng, config
+    ):
+        rows = rng.integers(0, config.levels, size=(60, config.n_stages))
+        index = _build(tmp_path, rows, config, n_clusters=4, nprobe=2)
+        empty = np.zeros((0, config.n_stages), dtype=np.int64)
+        result = index.top_k(empty, 3)
+        assert result.rows.shape == (0, 3)
+        assert result.distances.shape == (0, 3)
+        assert result.delays_s.shape == (0, 3)
+        assert result.clusters.shape == (0, 2)
+        assert result.rows_probed == 0
+        assert index.route(empty).shape == (0, 2)
+
+
+class TestOwnership:
+    def test_mutating_the_input_after_build_leaves_the_index(
+        self, tmp_path, rng, config
+    ):
+        rows = rng.integers(0, config.levels, size=(60, config.n_stages))
+        original = rows.copy()
+        queries = rng.integers(0, config.levels, size=(4, config.n_stages))
+        index = _build(tmp_path, rows, config, n_clusters=4)
+        want = index.top_k(queries, 5, nprobe=4)
+        rows[:] = (rows + 1) % config.levels
+        got = index.top_k(queries, 5, nprobe=4)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.distances, want.distances)
+        stored = np.empty_like(original)
+        for s in range(index.store.n_shards):
+            shard = index.store.shard(s)
+            stored[np.asarray(shard.row_ids)] = np.asarray(shard.levels)
+        assert np.array_equal(stored, original)

@@ -4,10 +4,14 @@ Every batched mismatch count -- clean, fault-injected, masked, drifted,
 retired -- comes from the dispatched count kernel plus an exact integer
 correction.  These properties pin it, under every kernel, against the
 reference APIs that still materialize the (Q, M, N) tensor, against a
-scalar ``search`` loop, and against the exhaustive top-k ranking; the
+per-query (M, N) mismatch-matrix reference of the logical view (which
+``search`` no longer runs: it is the one-query batch), and against the
+exhaustive top-k ranking; the
 vectorized ``write_all`` is pinned against the per-row write loop it
 replaced.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -131,6 +135,28 @@ def _resilient(data):
     return array, stored, rng
 
 
+def _reference_search(array, query):
+    """Per-query oracle of the logical view: the faulted (M, N) mismatch
+    matrix, masked, decoded by the physical array; each live logical row
+    reads its physical home, a retired row the maximum distance and the
+    timeout delay, and the best row is the (distance, delay, row) minimum
+    over live rows."""
+    mism = array._backing.faulted_mismatch_matrix(query)
+    mism[:, list(array._masked)] = False
+    raw = array._physical.result_from_mismatch_matrix(mism)
+    n = array.config.n_stages
+    n_eff = n - len(array._masked)
+    distances = np.full(array.n_rows, n_eff, dtype=np.int64)
+    delays = np.full(array.n_rows, array._physical.timing.chain_delay(n))
+    live = [r for r in range(array.n_rows) if r not in array._retired]
+    for r in live:
+        distances[r] = min(int(raw.hamming_distances[array._map[r]]), n_eff)
+        delays[r] = raw.delays_s[array._map[r]]
+    best = min(live, key=lambda r: (distances[r], delays[r], r), default=-1)
+    confidence = len(live) / array.n_rows * (n_eff / n)
+    return distances, delays, best, raw.latency_s, raw.energy_j, confidence
+
+
 class TestResilientBatchPath:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -140,24 +166,77 @@ class TestResilientBatchPath:
             stored[:2],
             rng.integers(0, 2, (3, array.config.n_stages)),
         ])
-        scalar = [array.search(q) for q in queries]
+        reference = [_reference_search(array, q) for q in queries]
         k = data.draw(st.integers(1, array.n_rows))
         for kernel in KERNELS:
             with force_kernel(kernel):
                 batch = array.search_batch(queries)
                 top = array.top_k_batch(queries, k)
-            for i, want in enumerate(scalar):
-                got = batch.result(i)
-                assert np.array_equal(got.hamming_distances, want.hamming_distances)
-                assert np.array_equal(got.delays_s, want.delays_s)
-                assert got.best_row == want.best_row
-                assert got.latency_s == want.latency_s
-                assert got.energy_j == want.energy_j
-                assert got.confidence == want.confidence
-                assert got.retired_rows == want.retired_rows
+                single = [array.search(q) for q in queries]
+            for i, want in enumerate(reference):
+                distances, delays, best, latency, energy, confidence = want
+                for got in (batch.result(i), single[i]):
+                    assert np.array_equal(got.hamming_distances, distances)
+                    assert np.array_equal(got.delays_s, delays)
+                    assert got.best_row == best
+                    assert got.latency_s == latency
+                    assert got.energy_j == energy
+                    assert got.confidence == confidence
+                    assert got.retired_rows == tuple(sorted(array._retired))
             assert np.array_equal(top.rows, batch.top_k(k)), kernel
             assert top.degraded == batch.degraded
             assert top.pruned == array._ranked_topk_eligible()
+
+    def test_search_is_the_one_query_batch(self):
+        """``search(q)`` equals ``search_batch(q[None]).result(0)`` field
+        for field, with the same BIST accounting, through automatic BIST
+        (retiring a dead row, masking stuck columns) and drift."""
+        config = TDAMConfig(n_stages=16)
+
+        def make():
+            return ResilientTDAMArray(
+                config, 6, n_spares=0,
+                faults=[Fault(FaultType.DEAD_ROW, row=1),
+                        Fault(FaultType.STUCK_MISMATCH, row=2, stage=3),
+                        Fault(FaultType.STUCK_MATCH, row=4, stage=7)],
+                variation=VariationModel(sigma_mv=40.0, seed=3),
+                bist_interval=3,
+            )
+
+        rng = np.random.default_rng(11)
+        stored = rng.integers(0, 4, (6, 16))
+        single, batched = make(), make()
+        single.write_all(stored)
+        batched.write_all(stored)
+        queries = np.concatenate([stored, rng.integers(0, 4, (6, 16))])
+        seen_degraded = seen_drift = False
+        for i, q in enumerate(queries):
+            if i in (4, 7):
+                single.advance_time(1e7)
+                batched.advance_time(1e7)
+            seen_drift |= single.age_s > 0
+            got = single.search(q)
+            want = batched.search_batch(q[None, :]).result(0)
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype, field.name
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name
+            assert single.health_report() == batched.health_report()
+            seen_degraded |= got.degraded and bool(got.masked_stages)
+        assert seen_degraded and seen_drift
+        assert single._retired == {1}
+
+    def test_search_rejects_a_matrix(self):
+        array = ResilientTDAMArray(TDAMConfig(n_stages=8), 2)
+        array.write_all(np.zeros((2, 8), dtype=np.int64))
+        with pytest.raises(ValueError, match="1-D"):
+            array.search(np.zeros((1, 8), dtype=np.int64))
+        with pytest.raises(ValueError, match="n_stages"):
+            array.search(np.zeros(7, dtype=np.int64))
+        assert array.health_report().searches_since_bist == 0
 
     def test_retired_row_never_wins_a_full_timeout_tie(self):
         config = TDAMConfig(n_stages=8)

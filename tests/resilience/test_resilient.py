@@ -37,6 +37,25 @@ class TestHealthyOperation:
         assert result.similarities[0] == config.n_stages
         assert result.similarity_fractions[0] == 1.0
 
+    def test_mutating_the_input_after_a_write(self, config, stored):
+        # Admission does not copy an int64 input; the shadow image and
+        # the physical rows must hold their own copies.
+        array = ResilientTDAMArray(
+            config, n_rows=6, n_spares=1,
+            faults=[Fault(FaultType.DEAD_ROW, row=2)],
+        )
+        matrix = stored.astype(np.int64)
+        row = stored[4].astype(np.int64)
+        array.write_all(matrix)
+        array.write(4, row)
+        matrix[:] = 3 - matrix
+        row[:] = 0
+        array.self_test_and_repair()  # rewrites every row from the shadow
+        for r in range(6):
+            result = array.search(stored[r])
+            assert result.best_row == r
+            assert result.hamming_distances[r] == 0
+
     def test_validation(self, config):
         with pytest.raises(ValueError, match="n_rows"):
             ResilientTDAMArray(config, n_rows=0)

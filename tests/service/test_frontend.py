@@ -61,6 +61,21 @@ class TestManualMode:
                 want.result.hamming_distances,
             )
 
+    def test_queued_query_owns_its_levels(self, service, clock, queries):
+        # A caller reusing its buffer while the request waits in the
+        # queue must not change the query that is served.
+        frontend = make_frontend(service, clock, max_batch=8)
+        buffer = queries[0].astype(np.int64)
+        future = frontend.submit(buffer, deadline_s=1.0)
+        buffer[:] = queries[1]
+        clock.advance(0.02)
+        assert frontend.pump() == 1
+        want = service.search(queries[0], deadline_s=1.0)
+        assert np.array_equal(
+            future.result(timeout=0).result.hamming_distances,
+            want.result.hamming_distances,
+        )
+
     def test_full_batch_ready_without_window(self, service, clock, queries):
         frontend = make_frontend(service, clock, max_batch=3, window_s=9.0)
         futures = [

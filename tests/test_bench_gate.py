@@ -34,6 +34,7 @@ def make_report(**overrides):
             "reopen_identical": True,
         },
         "encode": {"speedup_vs_committed": 5.2, "encode_s": 1.5e-3},
+        "encode_search": {"search_batch_s": 4e-3, "levels_identical": True},
         "mvm": {"bit_exact": True},
     }
     for path, value in overrides.items():

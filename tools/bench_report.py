@@ -42,6 +42,10 @@ plus two direct wall-clock studies, and writes ``BENCH_search.json``:
 8. **Bit-serial MVM**: the three MVM kernels (packed bit-serial,
    exact-float GEMM, int64 loop) forced on an 8b x 8b product, with
    bit-exactness against the int64 reference asserted (gated).
+9. **Encode->search**: a 64-sample ``EncodeSearchService.search_batch``
+   on the ``hdc-classify`` geometry -- encode, quantize, admission and
+   search end to end (gated ``rel_max``) -- plus the comparison
+   quantizer checked against its ``np.digitize`` reference (gated).
 
 Regression gate.  With ``--baseline BENCH_search.json`` the report is
 compared against the committed numbers metric-by-metric
@@ -517,6 +521,58 @@ def bench_encode(repeats: int = 20) -> dict:
     }
 
 
+def bench_encode_search(repeats: int = 20) -> dict:
+    """Encode->search request wall clock and the quantizer identity check.
+
+    Times a 64-sample ``EncodeSearchService.search_batch`` on the
+    ``hdc-classify`` geometry (617 features -> D=2048, 26 classes, 2-bit
+    model on 2 replica arrays, in-fabric encoder): encode, quantize,
+    admission and the search, end to end.  ``levels_identical`` checks
+    the comparison quantizer against the ``np.digitize`` reference on
+    the normalized encodings of 256 samples.
+    """
+    from repro.datasets.synthetic import make_isolet_like
+    from repro.hdc.encoder import RandomProjectionEncoder
+    from repro.hdc.model import HDCClassifier
+    from repro.hdc.pipeline import build_pipeline
+    from repro.resilience.resilient import ResilientTDAMArray
+    from repro.service.encode import EncodeSearchService
+    from repro.service.server import TDAMSearchService
+
+    data = make_isolet_like(n_train=520, n_test=256, seed=1)
+    classifier = HDCClassifier(
+        RandomProjectionEncoder(data.n_features, 2048, seed=1), 26
+    ).fit(data.x_train, data.y_train, epochs=1)
+    config = TDAMConfig(bits=2, n_stages=2048, vdd=0.6)
+    pipeline = build_pipeline(classifier, bits=2, fabric=True, config=config)
+    service = TDAMSearchService(
+        [ResilientTDAMArray(config, 26) for _ in range(2)]
+    )
+    service.write_all(pipeline.model.levels)
+    endpoint = EncodeSearchService(service, pipeline)
+    samples = data.x_test.astype(np.float32)
+    batch = samples[:64]
+    endpoint.search_batch(batch)  # warm: autotune and level tables
+
+    t_batch = _best_of(lambda: endpoint.search_batch(batch), repeats)
+    encoded = pipeline.encode(samples).astype(np.float64)
+    norms = np.linalg.norm(encoded, axis=1, keepdims=True)
+    reference = np.digitize(
+        encoded / np.maximum(norms, 1e-12), pipeline.model.edges
+    )
+    return {
+        "workload": (
+            "64 samples x 617 features -> D=2048, 2-bit, 26 rows x 2 "
+            "replicas, fabric encoder"
+        ),
+        "search_batch_s": t_batch,
+        "samples_per_s": len(batch) / t_batch,
+        "levels_identical": bool(
+            np.array_equal(pipeline.query_levels(samples), reference)
+        ),
+    }
+
+
 def bench_mvm(repeats: int = 10) -> dict:
     """Forced-kernel shootout of the bit-serial MVM kernels.
 
@@ -639,6 +695,8 @@ TRACKED_GATES = (
     ("ann.reopen_identical", "true", None),
     ("encode.speedup_vs_committed", "abs_min", 5.0),
     ("encode.encode_s", "rel_max", 1.5),
+    ("encode_search.search_batch_s", "rel_max", 1.5),
+    ("encode_search.levels_identical", "true", None),
     ("mvm.bit_exact", "true", None),
 )
 
@@ -773,6 +831,7 @@ def main(argv=None) -> int:
         "coalesce": bench_coalesce(),
         "ann": bench_ann(n_rows=args.ann_rows),
         "encode": bench_encode(),
+        "encode_search": bench_encode_search(),
         "mvm": bench_mvm(),
     }
     if not args.skip_microbench:
@@ -818,6 +877,10 @@ def main(argv=None) -> int:
           f"({enc['speedup_vs_committed']:.2f}x vs committed baseline, "
           f"quantized {enc['quantized_s'] * 1e3:.2f} ms, "
           f"max err {enc['quantized_max_abs_err']:.3g})")
+    es = report["encode_search"]
+    print(f"encode_search: {es['search_batch_s'] * 1e3:.2f} ms per 64-sample "
+          f"batch ({es['samples_per_s']:,.0f} samples/s, "
+          f"levels_identical={es['levels_identical']})")
     mvm = report["mvm"]
     print(f"mvm:          gemm {mvm['gemm_s'] * 1e3:.2f} ms, packed "
           f"{mvm['packed_s'] * 1e3:.2f} ms, loop {mvm['loop_s'] * 1e3:.2f} "
